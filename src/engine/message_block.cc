@@ -61,18 +61,6 @@ void MessageBlock::AppendColumns(const VertexId* targets,
   size_ += n;
 }
 
-void MessageBlock::WriteAt(size_t offset, const MessageBlock& other) {
-  if (other.size_ == 0) return;
-  std::memcpy(targets_.get() + offset, other.targets_.get(),
-              other.size_ * sizeof(VertexId));
-  std::memcpy(tags_.get() + offset, other.tags_.get(),
-              other.size_ * sizeof(uint32_t));
-  std::memcpy(values_.get() + offset, other.values_.get(),
-              other.size_ * sizeof(double));
-  std::memcpy(multiplicities_.get() + offset, other.multiplicities_.get(),
-              other.size_ * sizeof(double));
-}
-
 void MessageBlock::EraseFront(size_t n) {
   if (n == 0) return;
   if (n >= size_) {

@@ -83,20 +83,13 @@ class MessageBlock {
                      const double* values, const double* multiplicities,
                      size_t n);
 
-  /// Sets the size to `n` without writing the elements. The parallel
-  /// delivery path sizes the destination inbox once, then concurrent
-  /// copy tasks fill disjoint [offset, offset + m) slices via WriteAt.
-  /// Elements not subsequently written are indeterminate.
+  /// Sets the size to `n` without writing the elements (the unified
+  /// combine fold then writes the payload columns directly). Elements
+  /// not subsequently written are indeterminate.
   void ResizeUninitialized(size_t n) {
     Reserve(n);
     size_ = n;
   }
-
-  /// Copies all of `other`'s elements into this block's columns starting
-  /// at `offset` (column-wise memcpy; [offset, offset + other.size())
-  /// must be within size()). Distinct tasks writing disjoint slices of
-  /// one block are race-free.
-  void WriteAt(size_t offset, const MessageBlock& other);
 
   /// Removes the first `n` elements (column-wise memmove); capacity is
   /// retained. Used by the spill staging page after flushing.

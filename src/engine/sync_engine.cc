@@ -529,6 +529,10 @@ void SyncEngine::ComputeGraphShares() {
   local_index_.assign(graph_.NumVertices(), 0);
   for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
     uint32_t machine = partition_.MachineOf(v);
+    // Local positions ascend with v within each machine: the grouper's
+    // compact keys rely on it to keep the global (target, tag) order.
+    assert(vertices_by_machine_[machine].empty() ||
+           vertices_by_machine_[machine].back() < v);
     local_index_[v] =
         static_cast<uint32_t>(vertices_by_machine_[machine].size());
     vertices_by_machine_[machine].push_back(v);
@@ -639,7 +643,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   // grouping collapse into one pass that writes each destination's next
   // inbox directly — combined, sorted, one element per (target, tag) key.
   // Profile-level combining (GraphLab et al.) and OOC runs keep the
-  // per-(sender, dest) merge + delivery path, whose byte-for-byte outbox
+  // per-(sender, dest) merge into outboxes, whose byte-for-byte outbox
   // behaviour existing goldens and the spill machinery depend on.
   const bool unified_combine = dense_combine &&
                                !options_.profile.combines_messages &&
@@ -650,15 +654,17 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           ? static_cast<size_t>(machines) * machines
           : 0);
   scratch.unified_combine.resize(unified_combine ? machines : 0);
-  for (Worker& worker : workers) {
+  for (uint32_t machine = 0; machine < machines; ++machine) {
+    Worker& worker = workers[machine];
     worker.Reset(machines);
     worker.set_collect_timing(collect_times);
     worker.SetCombiner(combiner);
-    worker.set_vertex_space(graph_.NumVertices());
+    worker.SetLocalNumbering(local_index_.data(),
+                             vertices_by_machine_[machine]);
   }
 
   // One sink per (machine, shard): raw staging arenas and per-vertex log
-  // records, merged after the compute barrier in fixed shard order.
+  // records, read after the compute barrier in fixed shard order.
   const uint32_t shards_per_machine =
       options_.compute_shards_per_machine == 0
           ? kDefaultShardsPerMachine
@@ -674,6 +680,25 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     shard_sinks[task]->Configure(this, task / shards_per_machine, machines,
                                  ctx.query_id, combiner, precombine,
                                  tag_universe, unified_combine);
+  }
+  // What each destination is sent in a round, as the sender-major list
+  // of buffers its inbox would be concatenated from: the senders'
+  // combined outboxes under combining, else every sender's shard arenas
+  // in shard order. Next round groups this list in place (no merge copy,
+  // no delivery copy); only the out-of-core delivery materializes it.
+  // The buffer objects are stable for the whole Run.
+  const uint32_t segments_per_sender =
+      combiner != nullptr ? 1 : shards_per_machine;
+  std::vector<std::vector<const MessageBlock*>> sent_to(machines);
+  for (uint32_t dest = 0; dest < machines; ++dest) {
+    for (uint32_t sender = 0; sender < machines; ++sender) {
+      for (uint32_t k = 0; k < segments_per_sender; ++k) {
+        sent_to[dest].push_back(
+            combiner != nullptr
+                ? &workers[sender].outbox(dest)
+                : &shard_sinks[sender * shards_per_machine + k]->arena(dest));
+      }
+    }
   }
 
   // The pool outlives the round loop. A context without a pool gets a
@@ -706,10 +731,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   EngineResult result;
   const double scale = options_.stat_scale;
   const double cutoff = options_.cost.overload_cutoff_seconds;
-  // Wall time spent inside ParallelGroupInboxes across all rounds; folded
-  // into phase.group_seconds at the end (per-worker group_ns_ stays zero
-  // on the lockstep path, so there is no double count).
-  uint64_t parallel_group_ns = 0;
 
   // Round-loop scratch, reused every round.
   std::vector<ShardPlan> plans(machines);
@@ -721,12 +742,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   std::vector<double> machine_residual_round(machines, 0.0);
   std::vector<double> residual_ledger(machines, 0.0);
   std::vector<double> shard_weights;  // trace_shard_spans only.
-  // Parallel delivery scratch: per-(sender, dest) slice offsets into the
-  // destination inbox, and a per-dest flag marking destinations whose
-  // copy work was deferred to the sub-machine pass.
-  std::vector<size_t> deliver_offsets(static_cast<size_t>(machines) *
-                                      machines);
-  std::vector<uint8_t> deliver_copy(machines, 0);
   // Unified fold only: wire units folded into each machine's inbox last
   // round (the per-pair path would have delivered this many outbox
   // elements). Read by the NEXT round's receive fold, since the
@@ -767,16 +782,45 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     const uint64_t compute_start_ns = wallclock::NowNs();
 
     // --- Phase A: per-machine prep (group, receive fold, shard plan) ---
-    // The inbox receive fold is serial per machine — the same FP add
-    // order at every thread and shard count — and machines are
-    // independent. Grouping itself runs either serially per machine (the
-    // historical path) or as pool-wide lockstep passes
-    // (ParallelGroupInboxes) with bit-identical grouped output.
-    auto prep_rest = [&](uint32_t machine) {
+    // Grouping and the inbox receive fold are serial per machine — the
+    // same order at every thread and shard count — and machines are
+    // independent. Grouping reads last round's arenas (or outboxes)
+    // here, before phase B's BeginRound clears them.
+    auto prep_machine = [&](uint32_t machine) {
       Worker& worker = workers[machine];
+      ShardPlan& plan = plans[machine];
+      if (round == 0) {
+        // Seeding superstep: every local vertex runs with an empty inbox;
+        // shards balance by out-degree (broadcast seeds scan adjacency).
+        // Under real OOC the degrees come off the state file, streamed
+        // through the cache so the first round pays real vertex-state
+        // I/O like GraphD's load phase would.
+        if (rt != nullptr) {
+          rt->StreamAllDegrees(machine, &ooc_degrees[machine]);
+          plan.BuildForDegrees(ooc_degrees[machine], shards_per_machine);
+          return;
+        }
+        plan.BuildForVertices(graph_, vertices_by_machine_[machine],
+                              shards_per_machine);
+        return;
+      }
+      if (unified_combine) {
+        // Last round's fold wrote the inbox pre-grouped and built the
+        // singleton runs alongside; publishing them replaces grouping.
+        worker.PublishPregroupedRuns();
+      } else if (rt != nullptr) {
+        // Stream last round's spilled overflow back in before grouping;
+        // restored messages append after the resident ones, and grouping
+        // sorts the union, so the grouped inbox is bit-identical to the
+        // uncapped run's.
+        rt->RestoreInbox(machine, &worker.inbox());
+        worker.GroupInbox();
+      } else {
+        worker.GroupInbox(sent_to[machine]);
+      }
       MachineRoundLoad& load = loads[machine];
       const double* mults = worker.grouped_multiplicities();
-      const size_t inbox_size = worker.inbox().size();
+      const size_t inbox_size = worker.grouped_size();
       for (size_t i = 0; i < inbox_size; ++i) {
         load.recv_messages += mults[i];
         if (!unified_combine) {
@@ -800,60 +844,9 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         // exactly the point a synchronous load would install them).
         rt->TouchSections(machine, worker.runs());
       }
-      plans[machine].BuildForRuns(worker.runs(), shards_per_machine);
+      plan.BuildForRuns(worker.runs(), shards_per_machine);
     };
-    auto prep_machine = [&](uint32_t machine) {
-      Worker& worker = workers[machine];
-      ShardPlan& plan = plans[machine];
-      if (round == 0) {
-        // Seeding superstep: every local vertex runs with an empty inbox;
-        // shards balance by out-degree (broadcast seeds scan adjacency).
-        // Under real OOC the degrees come off the state file, streamed
-        // through the cache so the first round pays real vertex-state
-        // I/O like GraphD's load phase would.
-        if (rt != nullptr) {
-          rt->StreamAllDegrees(machine, &ooc_degrees[machine]);
-          plan.BuildForDegrees(ooc_degrees[machine], shards_per_machine);
-          return;
-        }
-        plan.BuildForVertices(graph_, vertices_by_machine_[machine],
-                              shards_per_machine);
-        return;
-      }
-      if (rt != nullptr) {
-        // Stream last round's spilled overflow back in before grouping;
-        // restored messages append after the resident ones, and grouping
-        // sorts the union, so the grouped inbox is bit-identical to the
-        // uncapped run's.
-        rt->RestoreInbox(machine, &worker.inbox());
-      }
-      if (unified_combine) {
-        // Last round's fold wrote the inbox pre-grouped and built the
-        // singleton runs alongside; publishing them replaces grouping.
-        worker.PublishPregroupedRuns();
-      } else {
-        worker.GroupInbox();
-      }
-      prep_rest(machine);
-    };
-    // With zero pool workers every "parallel" section runs inline on the
-    // caller, so the chunked radix passes would only add pass-switching
-    // overhead over the serial groupers; outputs are bit-identical either
-    // way, so the single-thread case keeps the serial path.
-    if (round > 0 && !unified_combine && options_.parallel_grouping &&
-        pool.num_workers() > 0) {
-      if (rt != nullptr) {
-        pool.ParallelFor(machines, [&](uint32_t machine) {
-          rt->RestoreInbox(machine, &workers[machine].inbox());
-        });
-      }
-      parallel_group_ns += ParallelGroupInboxes(
-          pool, std::span<Worker>(workers.data(), workers.size()), steal,
-          collect_times);
-      pool.ParallelFor(machines, prep_rest);
-    } else {
-      pool.ParallelFor(machines, prep_machine);
-    }
+    pool.ParallelFor(machines, prep_machine);
     if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
 
     // --- Phase B: sharded compute kernels ---
@@ -921,12 +914,14 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     };
     parallel_shards(num_shard_tasks, run_shard);
 
-    // --- Phase C: canonical merge into worker outboxes ---
+    // --- Phase C: canonical merge / cross-traffic tally ---
     // One task per (sender, destination) pair walks the sender's shard
     // arenas for that destination in ascending shard order — exactly the
     // sender's serial emission order — so combining folds, outbox bytes
     // and the destination's cross-in traffic are all independent of the
-    // shard count.
+    // shard count. Without a combiner nothing is copied: the destination
+    // groups the arenas themselves next round, and this pass only folds
+    // the cross-in traffic.
     auto merge_pair = [&](uint32_t pair) {
       const uint32_t sender = pair / machines;
       const uint32_t dest = pair % machines;
@@ -934,10 +929,15 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       Worker& worker = workers[sender];
       MergeSlot& slot = merge_slots[pair];
       slot.Clear();
-      MessageBlock& outbox = worker.outbox(dest);
       const uint32_t first_task = sender * shards_per_machine;
       double logical_in = 0.0;
       if (combiner != nullptr) {
+        // Last round's outbox was grouped by its destination in phase A;
+        // start this round's fold from empty.
+        MessageBlock& outbox = worker.outbox(dest);
+        outbox.Clear();
+        worker.combine_index(dest).Clear();
+        if (dense_combine) scratch.dense_combine[pair].Clear();
         // Per-message fold through the sender's combining index, counting
         // created keys (integer wire units).
         const CombinerKind kind = worker.combiner_kind();
@@ -1028,36 +1028,23 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         }
         slot.new_wire_keys = new_keys;
         slot.wire_cross_in = wire_in;
-      } else if (mirror_plan_ != nullptr) {
-        // Mirror mode: bulk append; cross-in folds the per-message
-        // weights (1/0 for mirror first-touches, multiplicity for plain
-        // sends from unmirrored vertices) in emission order.
+      } else if (dest != sender) {
+        // Wire == logical traffic. Mirror mode folds the per-message
+        // cross weights (1/0 for mirror first-touches, multiplicity for
+        // plain sends from unmirrored vertices), plain mode the
+        // multiplicities, both in emission order.
         for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
           const ShardSink& sink = *shard_sinks[first_task + shard];
-          outbox.Append(sink.arena(dest));
-          if (dest != sender) {
+          if (mirror_plan_ != nullptr) {
             for (double weight : sink.cross_weights(dest)) {
               logical_in += weight;
             }
+            continue;
           }
-        }
-        slot.wire_cross_in = logical_in;
-      } else {
-        // Plain mode: bulk column appends; wire == logical traffic.
-        size_t total = 0;
-        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
-          total += shard_sinks[first_task + shard]->arena(dest).size();
-        }
-        outbox.Reserve(outbox.size() + total);
-        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
-          const MessageBlock& arena =
-              shard_sinks[first_task + shard]->arena(dest);
-          outbox.Append(arena);
-          if (dest != sender) {
-            const double* mults = arena.multiplicities();
-            const size_t n = arena.size();
-            for (size_t i = 0; i < n; ++i) logical_in += mults[i];
-          }
+          const MessageBlock& arena = sink.arena(dest);
+          const double* mults = arena.multiplicities();
+          const size_t n = arena.size();
+          for (size_t i = 0; i < n; ++i) logical_in += mults[i];
         }
         slot.wire_cross_in = logical_in;
       }
@@ -1375,9 +1362,13 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         // heuristic below.
         load.measured_edge_stream_bytes =
             rt->TakeRoundStreamBytes(machine) * scale;
+        // Live: this round's inbox plus everything the machine sent.
         size_t live_messages = workers[machine].inbox().size();
         for (uint32_t dest = 0; dest < machines; ++dest) {
-          live_messages += workers[machine].OutboxSize(dest);
+          for (uint32_t k = 0; k < segments_per_sender; ++k) {
+            live_messages +=
+                sent_to[dest][machine * segments_per_sender + k]->size();
+          }
         }
         rt->NoteRoundLiveBytes(machine,
                                static_cast<double>(live_messages) *
@@ -1576,106 +1567,35 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       if (options_.stop_early_on_overload) break;
     }
 
-    // --- Deliver: drain all outboxes into next-round inboxes ---
-    // Two passes, both sub-machine parallel in the common (non-OOC) case:
-    // pass 1 (per destination) sizes the inbox as the fixed sender-major
-    // concatenation and records each sender's slice offset; pass 2 (per
-    // (sender, dest) pair) memcpys the disjoint column slices. The inbox
-    // layout equals the serial sender-major drain byte for byte — only
-    // who performs each copy changes. A destination fed by exactly one
-    // sender (every single-machine cluster, and any quiet destination)
-    // swaps buffers in pass 1 instead of copying.
+    // --- Deliver: only the out-of-core path materializes an inbox ---
+    // Everywhere else next round's phase A groups sent_to in place, and
+    // the unified fold already wrote every destination's inbox. Under
+    // OOC the resident-message cap cuts the sender-major concatenation
+    // at an arbitrary point: the prefix stays resident and the suffix
+    // pages to the spill file. At most one segment straddles the cut, so
+    // resident ++ restored reproduces the uncapped inbox order byte for
+    // byte (and the stable grouping then folds identical payload
+    // orders).
     const uint64_t deliver_start_ns = wallclock::NowNs();
-    if (unified_combine) {
-      // The unified fold already wrote every destination's inbox; there
-      // are no outboxes to move.
-    } else if (rt == nullptr) {
-      pool.ParallelFor(machines, [&](uint32_t dest) {
+    if (rt != nullptr) {
+      pool.ParallelFor(machines, [&sent_to, &workers, rt](uint32_t dest) {
         MessageBlock& inbox = workers[dest].inbox();
         inbox.Clear();
-        uint32_t nonempty_senders = 0;
-        uint32_t solo_sender = 0;
         size_t total = 0;
-        for (uint32_t sender = 0; sender < machines; ++sender) {
-          deliver_offsets[static_cast<size_t>(sender) * machines + dest] =
-              total;
-          const size_t outbox_size = workers[sender].OutboxSize(dest);
-          if (outbox_size != 0) {
-            ++nonempty_senders;
-            solo_sender = sender;
-            total += outbox_size;
-          }
-        }
-        deliver_copy[dest] = 0;
-        if (nonempty_senders == 1) {
-          workers[solo_sender].SwapOutbox(dest, &inbox);
-        } else if (nonempty_senders > 1) {
-          inbox.ResizeUninitialized(total);
-          deliver_copy[dest] = 1;
-        }
-      });
-      parallel_shards(machines * machines, [&](uint32_t pair) {
-        const uint32_t dest = pair % machines;
-        if (deliver_copy[dest] == 0) return;
-        const uint32_t sender = pair / machines;
-        MessageBlock& outbox = workers[sender].outbox(dest);
-        if (outbox.empty()) return;
-        workers[dest].inbox().WriteAt(deliver_offsets[pair], outbox);
-        outbox.Clear();
-        workers[sender].combine_index(dest).Clear();
-      });
-    } else {
-      // OOC: the resident-message cap cuts the sender-major concatenation
-      // at an arbitrary point, so delivery stays serial per destination.
-      pool.ParallelFor(machines, [&workers, machines, rt](uint32_t dest) {
-        MessageBlock& inbox = workers[dest].inbox();
-        inbox.Clear();
-        uint32_t nonempty_senders = 0;
-        uint32_t solo_sender = 0;
-        size_t total = 0;
-        for (uint32_t sender = 0; sender < machines; ++sender) {
-          const size_t outbox_size = workers[sender].OutboxSize(dest);
-          if (outbox_size != 0) {
-            ++nonempty_senders;
-            solo_sender = sender;
-            total += outbox_size;
-          }
+        for (const MessageBlock* segment : sent_to[dest]) {
+          total += segment->size();
         }
         const size_t cap = static_cast<size_t>(rt->resident_message_cap());
-        if (total > cap) {
-          // Hard budget: keep the prefix of the sender-major concatenation
-          // resident and page the suffix to the spill file. Exactly one
-          // sender straddles the cut, so resident ++ restored reproduces
-          // the uncapped inbox order byte for byte (and GroupInbox's
-          // stable sort then folds identical payload orders).
-          inbox.Reserve(cap);
-          size_t kept = 0;
-          for (uint32_t sender = 0; sender < machines; ++sender) {
-            MessageBlock& outbox = workers[sender].outbox(dest);
-            const size_t n = outbox.size();
-            if (n == 0) continue;
-            const size_t take = std::min(n, cap - kept);
-            if (take > 0) {
-              inbox.AppendColumns(outbox.targets(), outbox.tags(),
-                                  outbox.values(), outbox.multiplicities(),
-                                  take);
-              kept += take;
-            }
-            if (take < n) {
-              rt->SpillMessages(dest, outbox, take, n - take);
-            }
-            outbox.Clear();
-            workers[sender].combine_index(dest).Clear();
-          }
-        } else if (nonempty_senders == 1) {
-          workers[solo_sender].SwapOutbox(dest, &inbox);
-        } else if (nonempty_senders > 1) {
-          inbox.Reserve(total);
-          for (uint32_t sender = 0; sender < machines; ++sender) {
-            if (workers[sender].OutboxSize(dest) != 0) {
-              workers[sender].Drain(dest, &inbox);
-            }
-          }
+        inbox.Reserve(std::min(total, cap));
+        size_t kept = 0;
+        for (const MessageBlock* segment : sent_to[dest]) {
+          const size_t n = segment->size();
+          const size_t take = std::min(n, cap - kept);
+          inbox.AppendColumns(segment->targets(), segment->tags(),
+                              segment->values(), segment->multiplicities(),
+                              take);
+          kept += take;
+          if (take < n) rt->SpillMessages(dest, *segment, take, n - take);
         }
         rt->FinishDeliverRound(dest);
       });
@@ -1683,15 +1603,16 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     if (collect_times) {
       result.phase.deliver_seconds += wallclock::SecondsSince(deliver_start_ns);
     }
-    // Every delivery branch above drains the outboxes and clears the
-    // per-worker CombineIndexes; retire the dense tables' epochs in
-    // lockstep (O(1) per table).
-    for (DenseCombineTable& table : scratch.dense_combine) table.Clear();
     if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
     for (uint32_t machine = 0; machine < machines; ++machine) {
-      if (!workers[machine].inbox().empty() ||
-          (rt != nullptr && rt->has_pending_spill(machine))) {
-        any_messages_pending = true;
+      if (unified_combine || rt != nullptr) {
+        any_messages_pending |=
+            !workers[machine].inbox().empty() ||
+            (rt != nullptr && rt->has_pending_spill(machine));
+        continue;
+      }
+      for (const MessageBlock* segment : sent_to[machine]) {
+        any_messages_pending |= !segment->empty();
       }
     }
     if (!any_messages_pending) break;  // Quiescence: vote-to-halt.
@@ -1739,9 +1660,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     for (const Worker& worker : workers) {
       result.phase.group_seconds += worker.group_ns() * 1e-9;
     }
-    // Lockstep grouping bypasses the per-worker timers (one wall clock
-    // around the whole fan-out instead), so this is an add, not overlap.
-    result.phase.group_seconds += parallel_group_ns * 1e-9;
   }
   if (tracer != nullptr) {
     // One Add per run, mirroring RunReport::Absorb's per-batch

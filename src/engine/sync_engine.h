@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -85,12 +86,6 @@ struct EngineOptions {
   /// are bit-identical to merge-time-only combining at every shard and
   /// thread count; this switch exists as an escape hatch / A-B knob.
   bool shard_precombine = true;
-  /// Group large inboxes with pool-wide lockstep passes (per-chunk
-  /// histogram + prefix-sum scatter, fixed chunk count) instead of one
-  /// serial sort per machine, making grouping parallelism
-  /// machines x threads. Grouped output is bit-identical to the serial
-  /// strategies at every thread count (DESIGN.md section 16).
-  bool parallel_grouping = true;
 
   /// --- Observability (src/obs) ---
   /// When set, the engine emits one nested span group per round on
@@ -138,13 +133,15 @@ struct EngineOptions {
 /// Measured (real, not simulated) time the engine spent per phase of the
 /// superstep loop; filled only when EngineOptions::collect_phase_times is
 /// set. compute/deliver are wall seconds of the (possibly parallel)
-/// sections; group/stage are per-worker busy seconds summed over machines,
-/// so they can exceed the compute wall time under multithreading.
+/// sections; group/stage are per-machine busy seconds summed over
+/// machines (one clock pair per machine or pair per round, never per
+/// message), so they can exceed the compute wall time under
+/// multithreading.
 struct EnginePhaseTimes {
   double compute_seconds = 0.0;  // Superstep compute (includes group/stage).
   double group_seconds = 0.0;    // Worker::GroupInbox busy time.
-  double stage_seconds = 0.0;    // Arena-merge (staging) busy time.
-  double deliver_seconds = 0.0;  // Outbox -> inbox delivery.
+  double stage_seconds = 0.0;    // Merge / cross-traffic tally busy time.
+  double deliver_seconds = 0.0;  // Out-of-core inbox delivery.
 };
 
 /// Outcome of one engine execution (one batch).
@@ -247,6 +244,13 @@ class SyncEngine {
   const EngineOptions& options() const { return options_; }
   const MirrorPlan* mirror_plan() const { return mirror_plan_.get(); }
 
+  /// The dense per-machine vertex numbering: the vertices `machine` owns,
+  /// ascending, and each vertex's position in its machine's list.
+  std::span<const VertexId> local_vertices(uint32_t machine) const {
+    return vertices_by_machine_[machine];
+  }
+  uint32_t local_index(VertexId v) const { return local_index_[v]; }
+
  private:
   class ShardSink;
   struct ShardPlan;
@@ -274,8 +278,10 @@ class SyncEngine {
   std::vector<double> edge_stream_bytes_;    // Per machine (OOC).
   std::vector<std::vector<VertexId>> vertices_by_machine_;
   /// local_index_[v] = position of v within vertices_by_machine_[its
-  /// machine] — the dense per-machine vertex numbering the direct-indexed
-  /// combine tables key on. Ascending in v within each machine.
+  /// machine] — the dense per-machine vertex numbering the grouper and the
+  /// direct-indexed combine tables key on. Ascending in v within each
+  /// machine, which keeps grouped order equal to global (target, tag)
+  /// order.
   std::vector<uint32_t> local_index_;
 };
 

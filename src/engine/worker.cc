@@ -1,23 +1,70 @@
 #include "engine/worker.h"
 
 #include <algorithm>
-#include <array>
-#include <functional>
+#include <bit>
 
-#include "common/thread_pool.h"
 #include "common/wall_clock.h"
 
 namespace vcmp {
 namespace {
 
-/// Diagnostic phase timers only (group_ns/stage_ns, off by default);
-/// never feeds reports or traces, so it reads the one sanctioned
-/// wall-clock seam instead of std::chrono directly.
+/// Grouping-time diagnostics only (group_ns, off by default); never feeds
+/// reports or traces, so it reads the one sanctioned wall-clock seam
+/// instead of std::chrono directly.
 inline uint64_t NowNs() { return wallclock::NowNs(); }
 
-/// Below this size a comparison sort beats the radix passes' fixed costs
-/// (histogram zeroing, scratch traffic).
-constexpr size_t kRadixThreshold = 64;
+/// Widest radix digit: 2^16 four-byte counters (256 KiB) stay
+/// cache-resident, and every per-machine BPPR key here fits one digit.
+constexpr int kMaxDigitBits = 16;
+/// Narrowest digit the plan shrinks to for small inboxes, whose
+/// histogram would otherwise cost more than the elements.
+constexpr int kMinDigitBits = 8;
+
+/// Calls sink(i, key) for every message of the segment concatenation, in
+/// arrival order, with key = local(target) << tag_bits | tag.
+template <bool kNumbered, typename Sink>
+void ForEachKey(std::span<const MessageBlock* const> segments,
+                const uint32_t* local_index, int tag_bits, Sink&& sink) {
+  size_t i = 0;
+  for (const MessageBlock* segment : segments) {
+    const VertexId* targets = segment->targets();
+    const uint32_t* tags = segment->tags();
+    const size_t m = segment->size();
+    for (size_t j = 0; j < m; ++j, ++i) {
+      const uint64_t local = kNumbered ? local_index[targets[j]] : targets[j];
+      sink(i, (local << tag_bits) | tags[j]);
+    }
+  }
+}
+
+/// Copies the payload of the segment concatenation to grouped slots:
+/// arrival index i lands at position_of(i).
+template <typename PositionOf>
+void ScatterPayload(std::span<const MessageBlock* const> segments,
+                    double* out_values, double* out_mults,
+                    PositionOf&& position_of) {
+  size_t i = 0;
+  for (const MessageBlock* segment : segments) {
+    const double* values = segment->values();
+    const double* mults = segment->multiplicities();
+    const size_t m = segment->size();
+    for (size_t j = 0; j < m; ++j, ++i) {
+      const uint32_t pos = position_of(i);
+      out_values[pos] = values[j];
+      out_mults[pos] = mults[j];
+    }
+  }
+}
+
+/// Turns digit counts into exclusive scatter starts.
+void PrefixSum(std::vector<uint32_t>& counts) {
+  uint32_t offset = 0;
+  for (uint32_t& count : counts) {
+    const uint32_t c = count;
+    count = offset;
+    offset += c;
+  }
+}
 
 }  // namespace
 
@@ -46,12 +93,10 @@ void Worker::Reset(uint32_t num_machines) {
   runs_.clear();
   grouped_values_ptr_ = nullptr;
   grouped_mults_ptr_ = nullptr;
+  grouped_size_ = 0;
   aos_valid_ = false;
   send_stats_.Clear();
   group_ns_ = 0;
-  stage_ns_ = 0;
-  group_mode_ = GroupMode::kIdle;
-  group_digit_passes_ = 0;
 }
 
 void Worker::Drain(uint32_t machine, MessageBlock* dest) {
@@ -67,428 +112,164 @@ void Worker::SwapOutbox(uint32_t machine, MessageBlock* dest) {
 }
 
 void Worker::GroupInbox() {
+  const MessageBlock* own = &inbox_;
+  GroupInbox(std::span<const MessageBlock* const>(&own, 1));
+}
+
+void Worker::GroupInbox(std::span<const MessageBlock* const> segments) {
   const uint64_t t0 = collect_timing_ ? NowNs() : 0;
-  GroupInboxSerial();
+  GroupSegments(segments);
   if (collect_timing_) group_ns_ += NowNs() - t0;
 }
 
 void Worker::PublishPregroupedRuns() {
   // runs_ was filled by the fold through pregrouped_runs(); the payload
-  // stays in the inbox columns, exactly like the sorted fast path.
+  // stays in the inbox columns.
   aos_valid_ = false;
+  grouped_size_ = inbox_.size();
   grouped_values_ptr_ = inbox_.values();
   grouped_mults_ptr_ = inbox_.multiplicities();
 }
 
+MessageRun Worker::RunFor(uint64_t key, uint32_t begin, uint32_t end) const {
+  const uint64_t local = key >> tag_bits_;
+  const VertexId target = local_index_ != nullptr
+                              ? locals_[local]
+                              : static_cast<VertexId>(local);
+  const uint64_t tag_mask = (uint64_t{1} << tag_bits_) - 1;
+  return MessageRun{target, static_cast<uint32_t>(key & tag_mask), begin,
+                    end};
+}
 
-
-void Worker::GroupInboxSerial() {
-  const size_t n = inbox_.size();
+void Worker::GroupSegments(std::span<const MessageBlock* const> segments) {
   runs_.clear();
   aos_valid_ = false;
-  grouped_values_ptr_ = inbox_.values();
-  grouped_mults_ptr_ = inbox_.multiplicities();
+
+  // Scan: inbox size and key widths. Tags (and raw targets when there is
+  // no local numbering) contribute their OR; a numbered target needs
+  // only enough bits for the machine's local vertex count.
+  size_t n = 0;
+  uint32_t tag_or = 0;
+  uint32_t target_or = 0;
+  for (const MessageBlock* segment : segments) {
+    const size_t m = segment->size();
+    const uint32_t* tags = segment->tags();
+    for (size_t j = 0; j < m; ++j) tag_or |= tags[j];
+    if (local_index_ == nullptr) {
+      const VertexId* targets = segment->targets();
+      for (size_t j = 0; j < m; ++j) target_or |= targets[j];
+    }
+    n += m;
+  }
+  grouped_size_ = n;
+  grouped_values_.resize(n);
+  grouped_mults_.resize(n);
+  grouped_values_ptr_ = grouped_values_.data();
+  grouped_mults_ptr_ = grouped_mults_.data();
   if (n == 0) return;
 
-  // One scan packs the keys, finds the bytes that actually vary
-  // (targets/tags rarely use all 64 bits, so most radix passes skip),
-  // and detects an already-sorted inbox — common after single-sender
-  // combining — which needs no permutation at all.
-  keys_.resize(n);
-  const VertexId* targets = inbox_.targets();
-  const uint32_t* tags = inbox_.tags();
-  uint64_t all_or = 0;
-  uint64_t all_and = ~uint64_t{0};
-  uint64_t prev = 0;
-  bool sorted = true;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = (static_cast<uint64_t>(targets[i]) << 32) | tags[i];
-    keys_[i] = key;
-    all_or |= key;
-    all_and &= key;
-    sorted &= (key >= prev);
-    prev = key;
-  }
-
-  if (sorted) {
-    BuildRunsFromKeys(n);  // Payload stays in the inbox columns.
-  } else {
-    const uint64_t varying = all_or ^ all_and;
-    const bool single_tag = (varying & 0xffffffffULL) == 0;
-    if (single_tag && vertex_space_ > 0 &&
-        n >= static_cast<size_t>(vertex_space_)) {
-      // High occupancy, one tag: a dense per-vertex counting pass beats
-      // the radix passes and emits the runs directly.
-      GroupDense(n);
+  tag_bits_ = std::bit_width(tag_or);
+  const int target_bits =
+      local_index_ != nullptr
+          ? std::bit_width(static_cast<uint32_t>(
+                std::max<size_t>(locals_.size(), 1) - 1))
+          : std::bit_width(target_or);
+  const int key_bits = tag_bits_ + target_bits;
+  const auto compute_keys = [&](auto&& sink) {
+    if (local_index_ != nullptr) {
+      ForEachKey<true>(segments, local_index_, tag_bits_, sink);
     } else {
-      SortPairsAndGather(varying, n);
-      BuildRunsFromKeys(n);
-    }
-    grouped_values_ptr_ = grouped_values_.data();
-    grouped_mults_ptr_ = grouped_mults_.data();
-  }
-}
-
-void Worker::SortPairsAndGather(uint64_t varying, size_t n) {
-  pairs_.resize(n);
-  for (size_t i = 0; i < n; ++i) pairs_[i] = KeyIdx{keys_[i], uint32_t(i)};
-
-  if (n < kRadixThreshold) {
-    std::stable_sort(
-        pairs_.begin(), pairs_.end(),
-        [](const KeyIdx& a, const KeyIdx& b) { return a.key < b.key; });
-  } else {
-    pair_scratch_.resize(n);
-    KeyIdx* src = pairs_.data();
-    KeyIdx* dst = pair_scratch_.data();
-    bool in_scratch = false;
-    for (int byte = 0; byte < 8; ++byte) {
-      const int shift = byte * 8;
-      if (((varying >> shift) & 0xff) == 0) continue;  // Constant digit.
-      std::array<uint32_t, 256> counts{};
-      for (size_t i = 0; i < n; ++i) {
-        counts[(src[i].key >> shift) & 0xff]++;
-      }
-      uint32_t offset = 0;
-      std::array<uint32_t, 256> starts;
-      for (int digit = 0; digit < 256; ++digit) {
-        starts[digit] = offset;
-        offset += counts[digit];
-      }
-      for (size_t i = 0; i < n; ++i) {  // Stable scatter (LSD).
-        dst[starts[(src[i].key >> shift) & 0xff]++] = src[i];
-      }
-      std::swap(src, dst);
-      in_scratch = !in_scratch;
-    }
-    if (in_scratch) pairs_.swap(pair_scratch_);
-  }
-
-  // Gather only the payload columns through the permutation, and write
-  // the sorted keys back so run building reads one flat array.
-  grouped_values_.resize(n);
-  grouped_mults_.resize(n);
-  const double* values = inbox_.values();
-  const double* mults = inbox_.multiplicities();
-  for (size_t i = 0; i < n; ++i) {
-    const KeyIdx pair = pairs_[i];
-    keys_[i] = pair.key;
-    grouped_values_[i] = values[pair.idx];
-    grouped_mults_[i] = mults[pair.idx];
-  }
-}
-
-void Worker::GroupDense(size_t n) {
-  const VertexId* targets = inbox_.targets();
-  const uint32_t tag = inbox_.tags()[0];  // Single-tag precondition.
-  counts_.assign(vertex_space_, 0);
-  for (size_t i = 0; i < n; ++i) counts_[targets[i]]++;
-
-  // Exclusive prefix sum; nonzero counts become runs (ascending target),
-  // and counts_ is repurposed as the per-target scatter cursor.
-  uint32_t offset = 0;
-  for (VertexId t = 0; t < vertex_space_; ++t) {
-    const uint32_t count = counts_[t];
-    if (count != 0) {
-      runs_.push_back(MessageRun{t, tag, offset, offset + count});
-    }
-    counts_[t] = offset;
-    offset += count;
-  }
-
-  grouped_values_.resize(n);
-  grouped_mults_.resize(n);
-  const double* values = inbox_.values();
-  const double* mults = inbox_.multiplicities();
-  for (size_t i = 0; i < n; ++i) {  // Stable scatter (input order).
-    const uint32_t pos = counts_[targets[i]]++;
-    grouped_values_[pos] = values[i];
-    grouped_mults_[pos] = mults[i];
-  }
-}
-
-void Worker::BuildRunsFromKeys(size_t n) {
-  size_t i = 0;
-  while (i < n) {
-    const uint64_t key = keys_[i];
-    size_t j = i + 1;
-    while (j < n && keys_[j] == key) ++j;
-    runs_.push_back(MessageRun{static_cast<VertexId>(key >> 32),
-                               static_cast<uint32_t>(key),
-                               static_cast<uint32_t>(i),
-                               static_cast<uint32_t>(j)});
-    i = j;
-  }
-}
-
-void Worker::GroupScanBegin() {
-  const size_t n = inbox_.size();
-  if (n < kParallelGroupingThreshold) {
-    // One serial sort beats the pass barriers here. Timing is NOT added
-    // to group_ns_: the parallel driver measures the whole episode as
-    // wall time, and this call runs inside it.
-    GroupInboxSerial();
-    group_mode_ = GroupMode::kSerialDone;
-    group_digit_passes_ = 0;
-    return;
-  }
-  runs_.clear();
-  aos_valid_ = false;
-  grouped_values_ptr_ = inbox_.values();
-  grouped_mults_ptr_ = inbox_.multiplicities();
-  keys_.resize(n);
-  pairs_.resize(n);
-  pair_scratch_.resize(n);
-  chunk_or_.assign(kGroupChunks, 0);
-  chunk_and_.assign(kGroupChunks, ~uint64_t{0});
-  chunk_first_.assign(kGroupChunks, 0);
-  chunk_last_.assign(kGroupChunks, 0);
-  chunk_sorted_.assign(kGroupChunks, 1);
-  chunk_empty_.assign(kGroupChunks, 1);
-  group_mode_ = GroupMode::kScan;
-  group_digit_passes_ = 0;
-}
-
-void Worker::GroupScanChunk(uint32_t chunk) {
-  if (group_mode_ != GroupMode::kScan) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  if (begin == end) return;  // chunk_empty_ stays set.
-  const VertexId* targets = inbox_.targets();
-  const uint32_t* tags = inbox_.tags();
-  uint64_t all_or = 0;
-  uint64_t all_and = ~uint64_t{0};
-  uint64_t prev = 0;
-  bool sorted = true;
-  for (size_t i = begin; i < end; ++i) {
-    const uint64_t key =
-        (static_cast<uint64_t>(targets[i]) << 32) | tags[i];
-    keys_[i] = key;
-    pairs_[i] = KeyIdx{key, static_cast<uint32_t>(i)};
-    all_or |= key;
-    all_and &= key;
-    sorted &= (i == begin || key >= prev);
-    prev = key;
-  }
-  chunk_or_[chunk] = all_or;
-  chunk_and_[chunk] = all_and;
-  chunk_first_[chunk] = keys_[begin];
-  chunk_last_[chunk] = keys_[end - 1];
-  chunk_sorted_[chunk] = sorted ? 1 : 0;
-  chunk_empty_[chunk] = 0;
-}
-
-void Worker::GroupPlan() {
-  if (group_mode_ != GroupMode::kScan) return;
-  const size_t n = inbox_.size();
-  uint64_t all_or = 0;
-  uint64_t all_and = ~uint64_t{0};
-  bool sorted = true;
-  uint64_t prev_last = 0;
-  bool have_prev = false;
-  for (uint32_t c = 0; c < kGroupChunks; ++c) {
-    if (chunk_empty_[c]) continue;
-    all_or |= chunk_or_[c];
-    all_and &= chunk_and_[c];
-    sorted = sorted && chunk_sorted_[c] != 0 &&
-             (!have_prev || chunk_first_[c] >= prev_last);
-    prev_last = chunk_last_[c];
-    have_prev = true;
-  }
-  if (sorted) {
-    BuildRunsFromKeys(n);  // Payload stays in the inbox columns.
-    group_mode_ = GroupMode::kSerialDone;
-    return;
-  }
-  const uint64_t varying = all_or ^ all_and;
-  grouped_values_.resize(n);
-  grouped_mults_.resize(n);
-  const bool single_tag = (varying & 0xffffffffULL) == 0;
-  if (single_tag && vertex_space_ > 0 &&
-      n >= static_cast<size_t>(vertex_space_) &&
-      vertex_space_ <= kDenseParallelMaxVertexSpace) {
-    group_mode_ = GroupMode::kDense;
-    group_digit_passes_ = 1;
-    // Values are stale; each histogram chunk zeroes its own slice.
-    chunk_hist_.resize(static_cast<size_t>(kGroupChunks) * vertex_space_);
-    return;
-  }
-  // Unsorted implies at least two distinct keys, so `varying` has at
-  // least one nonzero byte and the radix always gets >= 1 pass. Every
-  // listed pass executes (no skipping), so the ping-pong buffer parity
-  // below is simply the pass index's parity.
-  group_mode_ = GroupMode::kRadix;
-  digit_shifts_.clear();
-  for (int byte = 0; byte < 8; ++byte) {
-    if (((varying >> (byte * 8)) & 0xff) != 0) {
-      digit_shifts_.push_back(byte * 8);
-    }
-  }
-  group_digit_passes_ = static_cast<uint32_t>(digit_shifts_.size());
-  chunk_hist_.resize(static_cast<size_t>(kGroupChunks) * 256);
-}
-
-void Worker::GroupHistChunk(uint32_t pass, uint32_t chunk) {
-  if (pass >= group_digit_passes_) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  if (group_mode_ == GroupMode::kRadix) {
-    const int shift = digit_shifts_[pass];
-    const KeyIdx* src =
-        (pass % 2 == 0) ? pairs_.data() : pair_scratch_.data();
-    uint32_t* hist = chunk_hist_.data() + static_cast<size_t>(chunk) * 256;
-    std::fill_n(hist, 256, 0u);
-    for (size_t i = begin; i < end; ++i) {
-      hist[(src[i].key >> shift) & 0xff]++;
-    }
-  } else {  // kDense.
-    uint32_t* hist =
-        chunk_hist_.data() + static_cast<size_t>(chunk) * vertex_space_;
-    std::fill_n(hist, vertex_space_, 0u);
-    const VertexId* targets = inbox_.targets();
-    for (size_t i = begin; i < end; ++i) hist[targets[i]]++;
-  }
-}
-
-void Worker::GroupPrefix(uint32_t pass) {
-  if (pass >= group_digit_passes_) return;
-  // Digit-major outer, chunk-minor inner: within one digit every chunk's
-  // elements land AFTER all lower chunks' — i.e. in input order — which
-  // reproduces the serial stable scatter's permutation exactly.
-  if (group_mode_ == GroupMode::kRadix) {
-    uint32_t offset = 0;
-    for (uint32_t digit = 0; digit < 256; ++digit) {
-      for (uint32_t c = 0; c < kGroupChunks; ++c) {
-        uint32_t& slot = chunk_hist_[static_cast<size_t>(c) * 256 + digit];
-        const uint32_t count = slot;
-        slot = offset;  // Histogram becomes this chunk's scatter cursor.
-        offset += count;
-      }
-    }
-  } else {  // kDense: same shape over vertex buckets; also emits runs.
-    const uint32_t tag = inbox_.tags()[0];  // Single-tag precondition.
-    uint32_t offset = 0;
-    for (VertexId t = 0; t < vertex_space_; ++t) {
-      uint32_t total = 0;
-      for (uint32_t c = 0; c < kGroupChunks; ++c) {
-        uint32_t& slot =
-            chunk_hist_[static_cast<size_t>(c) * vertex_space_ + t];
-        const uint32_t count = slot;
-        slot = offset;
-        offset += count;
-        total += count;
-      }
-      if (total != 0) {
-        runs_.push_back(MessageRun{t, tag, offset - total, offset});
-      }
-    }
-  }
-}
-
-void Worker::GroupScatterChunk(uint32_t pass, uint32_t chunk) {
-  if (pass >= group_digit_passes_) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  if (group_mode_ == GroupMode::kRadix) {
-    const int shift = digit_shifts_[pass];
-    const bool even = (pass % 2 == 0);
-    const KeyIdx* src = even ? pairs_.data() : pair_scratch_.data();
-    KeyIdx* dst = even ? pair_scratch_.data() : pairs_.data();
-    uint32_t* cursor =
-        chunk_hist_.data() + static_cast<size_t>(chunk) * 256;
-    for (size_t i = begin; i < end; ++i) {
-      dst[cursor[(src[i].key >> shift) & 0xff]++] = src[i];
-    }
-  } else {  // kDense: scatter the payload directly (one pass total).
-    uint32_t* cursor =
-        chunk_hist_.data() + static_cast<size_t>(chunk) * vertex_space_;
-    const VertexId* targets = inbox_.targets();
-    const double* values = inbox_.values();
-    const double* mults = inbox_.multiplicities();
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t pos = cursor[targets[i]]++;
-      grouped_values_[pos] = values[i];
-      grouped_mults_[pos] = mults[i];
-    }
-  }
-}
-
-void Worker::GroupGatherChunk(uint32_t chunk) {
-  if (group_mode_ != GroupMode::kRadix) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  const KeyIdx* sorted = (group_digit_passes_ % 2 == 0)
-                             ? pairs_.data()
-                             : pair_scratch_.data();
-  const double* values = inbox_.values();
-  const double* mults = inbox_.multiplicities();
-  for (size_t i = begin; i < end; ++i) {
-    const KeyIdx pair = sorted[i];
-    keys_[i] = pair.key;
-    grouped_values_[i] = values[pair.idx];
-    grouped_mults_[i] = mults[pair.idx];
-  }
-}
-
-void Worker::GroupFinish() {
-  if (group_mode_ == GroupMode::kRadix) {
-    BuildRunsFromKeys(inbox_.size());
-  }
-  if (group_mode_ == GroupMode::kRadix ||
-      group_mode_ == GroupMode::kDense) {
-    grouped_values_ptr_ = grouped_values_.data();
-    grouped_mults_ptr_ = grouped_mults_.data();
-  }
-  group_mode_ = GroupMode::kIdle;
-  group_digit_passes_ = 0;
-}
-
-uint64_t ParallelGroupInboxes(ThreadPool& pool, std::span<Worker> workers,
-                              bool steal, bool collect_timing) {
-  const uint64_t t0 = collect_timing ? NowNs() : 0;
-  const uint32_t machines = static_cast<uint32_t>(workers.size());
-  const uint32_t chunks = Worker::kGroupChunks;
-  const uint32_t chunk_tasks = machines * chunks;
-  auto launch = [&pool, steal](uint32_t count,
-                               const std::function<void(uint32_t)>& fn) {
-    if (steal) {
-      pool.ParallelForStealable(count, fn);
-    } else {
-      pool.ParallelFor(count, fn);
+      ForEachKey<false>(segments, nullptr, tag_bits_, sink);
     }
   };
-  pool.ParallelFor(machines,
-                   [&](uint32_t m) { workers[m].GroupScanBegin(); });
-  launch(chunk_tasks, [&](uint32_t task) {
-    workers[task / chunks].GroupScanChunk(task % chunks);
+  // Digits shrink with the inbox (down to kMinDigitBits) so a small
+  // inbox never pays for a 2^16-entry histogram.
+  const int digit_cap = std::clamp(static_cast<int>(std::bit_width(n)),
+                                   kMinDigitBits, kMaxDigitBits);
+  double* const out_values = grouped_values_.data();
+  double* const out_mults = grouped_mults_.data();
+
+  if (key_bits <= digit_cap) {
+    // One counting pass: the histogram's nonzero buckets are the runs,
+    // and its prefix sums place every payload element directly.
+    counts_.assign(size_t{1} << key_bits, 0);
+    keys_.resize(n);
+    compute_keys([&](size_t i, uint64_t key) {
+      keys_[i] = static_cast<uint32_t>(key);
+      ++counts_[key];
+    });
+    uint32_t offset = 0;
+    for (size_t key = 0; key < counts_.size(); ++key) {
+      const uint32_t count = counts_[key];
+      if (count != 0) runs_.push_back(RunFor(key, offset, offset + count));
+      counts_[key] = offset;
+      offset += count;
+    }
+    ScatterPayload(segments, out_values, out_mults,
+                   [&](size_t i) { return counts_[keys_[i]]++; });
+    return;
+  }
+
+  // LSD radix over (key, index) elements, one 32-bit key window at a
+  // time (keys wider than 32 bits reload the high window from
+  // wide_keys_), each window in balanced digits of at most digit_cap
+  // bits. Every scatter is stable, so equal keys keep arrival order.
+  const bool wide = key_bits > 32;
+  pairs_.resize(n);
+  pair_scratch_.resize(n);
+  if (wide) wide_keys_.resize(n);
+  compute_keys([&](size_t i, uint64_t key) {
+    if (wide) wide_keys_[i] = key;
+    pairs_[i] = KeyIdx{static_cast<uint32_t>(key), static_cast<uint32_t>(i)};
   });
-  pool.ParallelFor(machines, [&](uint32_t m) { workers[m].GroupPlan(); });
-  // The lockstep digit count is the fleet maximum; machines with fewer
-  // varying bytes no-op the surplus passes.
-  uint32_t max_passes = 0;
-  for (const Worker& worker : workers) {
-    max_passes = std::max(max_passes, worker.group_digit_passes());
+  KeyIdx* src = pairs_.data();
+  KeyIdx* dst = pair_scratch_.data();
+  for (int window = 0; window < key_bits; window += 32) {
+    if (window > 0) {
+      for (size_t i = 0; i < n; ++i) {
+        src[i].key = static_cast<uint32_t>(wide_keys_[src[i].idx] >> window);
+      }
+    }
+    const int window_bits = std::min(32, key_bits - window);
+    const int digits = (window_bits + digit_cap - 1) / digit_cap;
+    const int digit_bits = (window_bits + digits - 1) / digits;
+    for (int shift = 0; shift < window_bits; shift += digit_bits) {
+      const uint32_t mask = (uint32_t{1} << digit_bits) - 1;
+      counts_.assign(size_t{1} << digit_bits, 0);
+      for (size_t i = 0; i < n; ++i) ++counts_[(src[i].key >> shift) & mask];
+      PrefixSum(counts_);
+      for (size_t i = 0; i < n; ++i) {
+        dst[counts_[(src[i].key >> shift) & mask]++] = src[i];
+      }
+      std::swap(src, dst);
+    }
   }
-  for (uint32_t pass = 0; pass < max_passes; ++pass) {
-    launch(chunk_tasks, [&](uint32_t task) {
-      workers[task / chunks].GroupHistChunk(pass, task % chunks);
-    });
-    pool.ParallelFor(machines,
-                     [&](uint32_t m) { workers[m].GroupPrefix(pass); });
-    launch(chunk_tasks, [&](uint32_t task) {
-      workers[task / chunks].GroupScatterChunk(pass, task % chunks);
-    });
+
+  // src is sorted: cut runs at key changes and record where each arrival
+  // index lands, then scatter the payload in one sequential read.
+  positions_.resize(n);
+  const auto full_key = [&](const KeyIdx& e) -> uint64_t {
+    return wide ? wide_keys_[e.idx] : e.key;
+  };
+  uint64_t run_key = full_key(src[0]);
+  uint32_t run_begin = 0;
+  for (uint32_t p = 0; p < n; ++p) {
+    const uint64_t key = full_key(src[p]);
+    if (key != run_key) {
+      runs_.push_back(RunFor(run_key, run_begin, p));
+      run_key = key;
+      run_begin = p;
+    }
+    positions_[src[p].idx] = p;
   }
-  if (max_passes > 0) {
-    launch(chunk_tasks, [&](uint32_t task) {
-      workers[task / chunks].GroupGatherChunk(task % chunks);
-    });
-  }
-  pool.ParallelFor(machines,
-                   [&](uint32_t m) { workers[m].GroupFinish(); });
-  return collect_timing ? NowNs() - t0 : 0;
+  runs_.push_back(RunFor(run_key, run_begin, static_cast<uint32_t>(n)));
+  ScatterPayload(segments, out_values, out_mults,
+                 [&](size_t i) { return positions_[i]; });
 }
 
 std::span<const Message> Worker::MaterializedInbox() {
   if (!aos_valid_) {
-    const size_t n = inbox_.size();
-    aos_scratch_.resize(n);
+    aos_scratch_.resize(grouped_size_);
     const double* values = grouped_values_ptr_;
     const double* mults = grouped_mults_ptr_;
     for (const MessageRun& run : runs_) {
@@ -498,7 +279,7 @@ std::span<const Message> Worker::MaterializedInbox() {
     }
     aos_valid_ = true;
   }
-  return {aos_scratch_.data(), inbox_.size()};
+  return {aos_scratch_.data(), grouped_size_};
 }
 
 }  // namespace vcmp

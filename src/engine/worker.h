@@ -3,17 +3,13 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "common/wall_clock.h"
 #include "engine/message.h"
 #include "engine/message_block.h"
 #include "graph/partition.h"
 
 namespace vcmp {
-
-class ThreadPool;
 
 /// Send-side statistics a worker accumulates during one round, at
 /// generated-graph scale.
@@ -93,19 +89,19 @@ class CombineIndex {
 
 /// Per-machine message buffers of a simulated worker.
 ///
-/// A Worker owns the machine's inbox for the current round and the staging
-/// outboxes of the round in progress, all in SoA MessageBlock layout.
-/// Combining systems merge same-(target, tag) messages in the outbox
-/// before "transmission". All buffers retain their capacity across rounds
-/// and Reset calls: the steady state of a multi-round run performs no
-/// per-round allocations.
+/// A Worker owns the machine's grouped inbox for the current round and
+/// the staging outboxes of the round in progress, all in SoA MessageBlock
+/// layout. Combining systems merge same-(target, tag) messages in the
+/// outbox before "transmission". All buffers retain their capacity across
+/// rounds and Reset calls: the steady state of a multi-round run performs
+/// no per-round allocations.
 ///
-/// GroupInbox() no longer permutes whole messages. It sorts packed
-/// (target, tag) keys carrying 4-byte indices, gathers only the payload
-/// columns, and publishes the result as `runs()` (one MessageRun per
-/// (target, tag) group, ascending) over `grouped_values()` /
-/// `grouped_multiplicities()`. The inbox's own target/tag columns are
-/// left in arrival order — consumers must read groups via runs().
+/// GroupInbox() never permutes whole messages and never concatenates its
+/// input: it reads the round's inbox as an ordered list of segments (the
+/// senders' buffers, in sender-major order), sorts compact machine-local
+/// keys, scatters only the payload columns, and publishes the result as
+/// `runs()` (one MessageRun per (target, tag) group, ascending) over
+/// `grouped_values()` / `grouped_multiplicities()`.
 class Worker {
  public:
   Worker() = default;
@@ -121,9 +117,20 @@ class Worker {
     combiner_kind_ = combiner ? combiner->kind() : CombinerKind::kCustom;
   }
 
-  /// Declares the vertex-id universe [0, universe). Lets GroupInbox pick
-  /// a dense counting pass when the inbox occupancy is high enough.
-  void set_vertex_space(VertexId universe) { vertex_space_ = universe; }
+  /// Declares the machine's dense vertex numbering: `local_index[v]` is
+  /// v's position in `locals`, and `locals` ascends with vertex id. The
+  /// grouper then keys on local positions, which need only
+  /// bit_width(locals.size() - 1) bits instead of a full vertex id, and
+  /// keeps the global (target, tag) order because the numbering is
+  /// monotone. Every inbox message must target one of `locals`, and both
+  /// arrays must outlive the grouping calls (the engine re-declares them
+  /// at every Run). Without a numbering the grouper keys on raw vertex
+  /// ids.
+  void SetLocalNumbering(const uint32_t* local_index,
+                         std::span<const VertexId> locals) {
+    local_index_ = local_index;
+    locals_ = locals;
+  }
 
   /// Buffers (target, tag, value, multiplicity) for the worker of
   /// `target_machine`, merging it into an existing outbox entry when a
@@ -131,9 +138,7 @@ class Worker {
   /// (false = merged into an existing one).
   bool Stage(uint32_t target_machine, VertexId target, uint32_t tag,
              double value, double multiplicity) {
-    const uint64_t t0 = collect_timing_ ? wallclock::NowNs() : 0;
     MessageBlock& outbox = outboxes_[target_machine];
-    bool new_wire = true;
     if (combiner_ != nullptr) {
       bool inserted = false;
       const uint64_t key = (static_cast<uint64_t>(target) << 32) | tag;
@@ -158,12 +163,11 @@ class Worker {
             break;
           }
         }
-        new_wire = false;  // Merged: no new wire message.
+        return false;  // Merged: no new wire message.
       }
     }
-    if (new_wire) outbox.PushBack(target, tag, value, multiplicity);
-    if (collect_timing_) stage_ns_ += wallclock::NowNs() - t0;
-    return new_wire;
+    outbox.PushBack(target, tag, value, multiplicity);
+    return true;
   }
 
   /// Appends this worker's outbox for `machine` to `dest`, then clears the
@@ -180,16 +184,18 @@ class Worker {
   /// capacities keep recycling with zero copies.
   void SwapOutbox(uint32_t machine, MessageBlock* dest);
 
+  /// The materialized inbox: what GroupInbox() without arguments groups.
+  /// The engine fills it only on the out-of-core path (whose delivery
+  /// caps the resident prefix) and the unified combine fold.
   MessageBlock& inbox() { return inbox_; }
   const MessageBlock& inbox() const { return inbox_; }
   WorkerSendStats& send_stats() { return send_stats_; }
   const WorkerSendStats& send_stats() const { return send_stats_; }
 
   /// Direct access to the staging outbox / combining index for one
-  /// destination. The sharded engine merges per-shard arenas into these
-  /// itself (one merge task owns exactly one (sender, destination) pair,
-  /// so no two tasks touch the same buffer) instead of going through
-  /// Stage, whose timing accumulator would race across merge tasks.
+  /// destination. The engine's combining merge folds per-shard arenas
+  /// into these itself (one merge task owns exactly one (sender,
+  /// destination) pair, so no two tasks touch the same buffer).
   MessageBlock& outbox(uint32_t machine) { return outboxes_[machine]; }
   CombineIndex& combine_index(uint32_t machine) {
     return combine_index_[machine];
@@ -197,129 +203,71 @@ class Worker {
   const Combiner* combiner() const { return combiner_; }
   CombinerKind combiner_kind() const { return combiner_kind_; }
 
-  /// Groups the inbox by (target, tag) and publishes runs() +
-  /// grouped_values()/grouped_multiplicities(). Messages with equal
-  /// (target, tag) keep their arrival order within the run's payload
-  /// (stable), which fixes the grouping order independently of inbox
-  /// size and sort strategy. Strategy per round: already-sorted inboxes
-  /// are detected and skipped; tiny inboxes comparison-sort; high-
-  /// occupancy single-tag inboxes use a dense per-vertex counting pass;
-  /// everything else runs a byte-skipping LSD radix over (key, index)
-  /// pairs. Only the two 8-byte payload columns are gathered.
+  /// Groups the inbox formed by concatenating `segments` in order, by
+  /// (target, tag), and publishes runs() + grouped_values() /
+  /// grouped_multiplicities(). The segments are only read; the grouped
+  /// payload is a copy, so they may be overwritten afterwards. Messages
+  /// with equal (target, tag) keep their arrival order within the run's
+  /// payload (stable), which fixes the grouped order independently of
+  /// inbox size, segmentation and key widths.
+  ///
+  /// One algorithm for every inbox: a stable LSD radix over compact keys
+  /// `local << tag_bits | tag`, whose widths come from this inbox (the
+  /// local vertex count and the OR of its tags), in digits of at most 16
+  /// bits. A key that fits one digit takes a single counting pass that
+  /// emits the runs from the histogram and scatters the payload
+  /// directly; wider keys sort 8-byte (key, index) elements, 32 key bits
+  /// at a time, before the same scatter.
+  void GroupInbox(std::span<const MessageBlock* const> segments);
+  /// Groups inbox() (a one-segment list).
   void GroupInbox();
 
   /// Engine fast path for the unified combine fold (DESIGN.md §16): the
   /// fold emits this worker's inbox already grouped — ascending distinct
   /// (target, tag) keys, one element each — and writes the matching
-  /// singleton runs into pregrouped_runs() in the same pass, so neither
-  /// a sortedness scan nor a run-building pass is needed.
-  /// PublishPregroupedRuns() then replaces GroupInbox() for the round;
-  /// the published state is bit-identical to what grouping the same
-  /// inbox would produce (the sorted fast path would rebuild exactly
-  /// these runs over the same in-place payload columns). Only the
-  /// inbox's payload columns are written on this path — the runs are
-  /// the round's sole key source, so the target/tag columns hold
-  /// unspecified bytes (the GroupInbox contract already routes every
-  /// consumer through runs()).
+  /// singleton runs into pregrouped_runs() in the same pass.
+  /// PublishPregroupedRuns() then replaces GroupInbox() for the round,
+  /// publishing the inbox's payload columns in place. Only the inbox's
+  /// payload columns are written on this path — the runs are the round's
+  /// sole key source, so the target/tag columns hold unspecified bytes
+  /// (every consumer already reads groups through runs()).
   std::vector<MessageRun>& pregrouped_runs() { return runs_; }
   void PublishPregroupedRuns();
 
-  /// --- Parallel grouping pass API ---
-  /// Thread-parallel variant of GroupInbox, driven by the free function
-  /// ParallelGroupInboxes below in pool-wide lockstep passes. Each call
-  /// touches only this worker's state; concurrent calls for one worker
-  /// are distinct chunks writing disjoint index slices, so the passes
-  /// are race-free without any synchronization. The grouped output —
-  /// runs(), grouped columns, key order — is bit-identical to
-  /// GroupInbox(): the chunked LSD radix reserves, for every digit, the
-  /// chunk-major slots of a chunk's elements, which reproduces the
-  /// serial stable scatter's permutation exactly (DESIGN.md section 16).
-  ///
-  /// Fixed chunk count — NEVER derived from the thread count — so the
-  /// pass structure is a pure function of the inbox.
-  static constexpr uint32_t kGroupChunks = 16;
-  /// Below this size one serial sort beats the pass barriers; the begin
-  /// call then completes grouping immediately.
-  static constexpr size_t kParallelGroupingThreshold = 8192;
-  /// Dense counting keeps per-chunk vertex histograms; above this vertex
-  /// universe the memory no longer pays and the radix path runs instead
-  /// (same stable output either way).
-  static constexpr VertexId kDenseParallelMaxVertexSpace = 1u << 18;
-
-  /// Per machine: resets grouping state; small inboxes complete serially
-  /// here (GroupScanChunk and later passes then no-op).
-  void GroupScanBegin();
-  /// Per (machine, chunk): packs this chunk's keys and summarizes them
-  /// (varying bits, sortedness, boundary keys).
-  void GroupScanChunk(uint32_t chunk);
-  /// Per machine: folds the chunk summaries, finishes already-sorted
-  /// inboxes, and picks dense-counting vs LSD-radix for the rest.
-  void GroupPlan();
-  /// Histogram/prefix/scatter passes the driver repeats
-  /// group_digit_passes() times (radix: one per varying key byte; dense:
-  /// one). Calls with `pass >= group_digit_passes()` no-op, which is how
-  /// machines with fewer digits ride the fleet-wide lockstep.
-  uint32_t group_digit_passes() const { return group_digit_passes_; }
-  void GroupHistChunk(uint32_t pass, uint32_t chunk);
-  void GroupPrefix(uint32_t pass);
-  void GroupScatterChunk(uint32_t pass, uint32_t chunk);
-  /// Per (machine, chunk): gathers payload columns through the sorted
-  /// permutation (radix mode; dense scattered payload directly).
-  void GroupGatherChunk(uint32_t chunk);
-  /// Per machine: builds the runs and publishes the grouped columns.
-  void GroupFinish();
-
   /// The (target, tag) runs of the grouped inbox, ascending; valid after
-  /// GroupInbox() until the inbox is next modified. Runs with equal
-  /// target are adjacent — this doubles as the round's sparse
-  /// active-vertex frontier (one or more runs per active vertex).
+  /// GroupInbox() until the next grouping. Runs with equal target are
+  /// adjacent — this doubles as the round's sparse active-vertex
+  /// frontier (one or more runs per active vertex).
   std::span<const MessageRun> runs() const { return runs_; }
 
   /// Payload columns aligned with runs(): element i of the grouped inbox
-  /// is (values[i], multiplicities[i]).
+  /// is (values[i], multiplicities[i]), for i < grouped_size().
   const double* grouped_values() const { return grouped_values_ptr_; }
   const double* grouped_multiplicities() const { return grouped_mults_ptr_; }
+  size_t grouped_size() const { return grouped_size_; }
 
   /// AoS view of the grouped inbox for programs without a ComputeRun
   /// implementation (built lazily, reused within the round). Valid until
-  /// the inbox is next modified.
+  /// the next grouping.
   std::span<const Message> MaterializedInbox();
 
-  /// Enables phase-time collection (see group_ns/stage_ns). Off by
-  /// default; the hot paths then pay a single predictable branch.
+  /// Enables grouping-time collection (see group_ns). Off by default;
+  /// on, each GroupInbox call reads the clock twice, never per message.
   void set_collect_timing(bool on) { collect_timing_ = on; }
-  /// Nanoseconds spent in GroupInbox / Stage since the last Reset, when
-  /// timing collection is enabled.
+  /// Nanoseconds spent in GroupInbox since the last Reset, when timing
+  /// collection is enabled.
   uint64_t group_ns() const { return group_ns_; }
-  uint64_t stage_ns() const { return stage_ns_; }
 
  private:
-  /// Sort key (key, original index) pair; 4-byte index keeps the radix
-  /// element at 16 bytes vs the 24-byte Message it replaces.
+  /// Radix element: the key bits of the current 32-bit window and the
+  /// element's arrival index.
   struct KeyIdx {
-    uint64_t key = 0;
+    uint32_t key = 0;
     uint32_t idx = 0;
   };
 
-  void GroupInboxSerial();
-  void SortPairsAndGather(uint64_t varying, size_t n);
-  void GroupDense(size_t n);
-  void BuildRunsFromKeys(size_t n);
-
-  /// [begin, end) of `chunk` when n elements split over kGroupChunks.
-  static std::pair<size_t, size_t> ChunkRange(size_t n, uint32_t chunk) {
-    return {n * chunk / kGroupChunks, n * (chunk + 1) / kGroupChunks};
-  }
-
-  /// Which grouping strategy the parallel pass driver is executing for
-  /// this worker's current inbox (decided by GroupPlan).
-  enum class GroupMode : uint8_t {
-    kIdle,        // Not inside a parallel grouping episode.
-    kScan,        // Begin ran; chunk scan + plan still pending.
-    kSerialDone,  // Completed serially (small / already sorted).
-    kRadix,       // Chunked byte-skipping LSD radix over (key, idx).
-    kDense,       // Chunked per-vertex counting scatter (single tag).
-  };
+  void GroupSegments(std::span<const MessageBlock* const> segments);
+  MessageRun RunFor(uint64_t key, uint32_t begin, uint32_t end) const;
 
   MessageBlock inbox_;
   std::vector<MessageBlock> outboxes_;  // One per target machine.
@@ -327,18 +275,23 @@ class Worker {
   std::vector<CombineIndex> combine_index_;
   const Combiner* combiner_ = nullptr;
   CombinerKind combiner_kind_ = CombinerKind::kCustom;
-  VertexId vertex_space_ = 0;
+  const uint32_t* local_index_ = nullptr;  // Null: key on raw vertex ids.
+  std::span<const VertexId> locals_;
 
   // Grouping state, rebuilt by GroupInbox() each round (capacity kept).
-  std::vector<uint64_t> keys_;
-  std::vector<KeyIdx> pairs_;
+  int tag_bits_ = 0;
+  std::vector<uint32_t> counts_;       // Digit histogram / scatter cursor.
+  std::vector<uint32_t> keys_;         // Single-digit keys, arrival order.
+  std::vector<KeyIdx> pairs_;          // Multi-digit radix elements.
   std::vector<KeyIdx> pair_scratch_;
-  std::vector<uint32_t> counts_;  // Dense counting-sort histogram.
+  std::vector<uint64_t> wide_keys_;    // Keys wider than 32 bits only.
+  std::vector<uint32_t> positions_;    // Arrival index -> grouped slot.
   std::vector<MessageRun> runs_;
   std::vector<double> grouped_values_;
   std::vector<double> grouped_mults_;
   const double* grouped_values_ptr_ = nullptr;
   const double* grouped_mults_ptr_ = nullptr;
+  size_t grouped_size_ = 0;
   // vcmp:lint-allow(P1, sanctioned AoS fallback view for programs without ComputeRun)
   std::vector<Message> aos_scratch_;
   bool aos_valid_ = false;
@@ -346,35 +299,7 @@ class Worker {
   WorkerSendStats send_stats_;
   bool collect_timing_ = false;
   uint64_t group_ns_ = 0;
-  uint64_t stage_ns_ = 0;
-
-  // Parallel-grouping episode state (valid GroupScanBegin..GroupFinish).
-  GroupMode group_mode_ = GroupMode::kIdle;
-  uint32_t group_digit_passes_ = 0;
-  std::vector<int> digit_shifts_;       // Radix: LSD shifts, varying only.
-  std::vector<uint64_t> chunk_or_;      // Per-chunk key summaries.
-  std::vector<uint64_t> chunk_and_;
-  std::vector<uint64_t> chunk_first_;
-  std::vector<uint64_t> chunk_last_;
-  std::vector<uint8_t> chunk_sorted_;
-  std::vector<uint8_t> chunk_empty_;
-  /// Radix: kGroupChunks x 256 digit counts, overwritten with scatter
-  /// starts by GroupPrefix. Dense: kGroupChunks x vertex_space counts.
-  std::vector<uint32_t> chunk_hist_;
 };
-
-/// Groups every worker's inbox using pool-wide flat lockstep passes, so
-/// grouping parallelism is machines x threads instead of machines. The
-/// sequence per round: a per-machine begin (small inboxes finish
-/// serially right there), a chunked key scan, a per-machine plan, then
-/// for each digit pass histogram -> prefix -> scatter chunk tasks, a
-/// chunked payload gather, and a per-machine finish. Grouped output is
-/// bit-identical to calling w.GroupInbox() on every worker, at every
-/// thread count. Chunk tasks are launched stealable when `steal` (the
-/// engine's work-stealing switch; outputs identical either way).
-/// Returns wall nanoseconds spent (0 unless `collect_timing`).
-uint64_t ParallelGroupInboxes(ThreadPool& pool, std::span<Worker> workers,
-                              bool steal, bool collect_timing);
 
 }  // namespace vcmp
 

@@ -1,8 +1,6 @@
 // Tests of sender-side combining (DESIGN.md §16): the Sum/Min combiner
-// fold semantics the unified combine path relies on, the contract that
-// enabling combining changes wire traffic but never task results, and
-// the equivalence of serial GroupInbox against the pool-wide parallel
-// grouping passes for every grouping strategy.
+// fold semantics the unified combine path relies on, and the contract
+// that enabling combining changes wire traffic but never task results.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/thread_pool.h"
 #include "engine/message.h"
 #include "engine/sync_engine.h"
-#include "engine/worker.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "tasks/bppr.h"
@@ -160,7 +155,6 @@ struct CombineRunOptions {
   bool combining = false;
   uint32_t threads = 1;
   bool shard_precombine = true;
-  bool parallel_grouping = true;
 };
 
 EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
@@ -171,7 +165,6 @@ EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
   options.clamp_threads_to_hardware = false;
   options.sender_combining = opts.combining;
   options.shard_precombine = opts.shard_precombine;
-  options.parallel_grouping = opts.parallel_grouping;
   return options;
 }
 
@@ -250,21 +243,15 @@ TEST(SenderCombiningTest, MsspCombinedRunBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(SenderCombiningTest,
-     MsspInvariantToShardPrecombineAndParallelGrouping) {
-  // shard_precombine moves folding earlier (into the compute shards) and
-  // parallel_grouping moves grouping across threads; both are pure
-  // performance toggles — every statistic must be bit-identical.
+TEST(SenderCombiningTest, MsspInvariantToShardPrecombine) {
+  // shard_precombine moves folding earlier (into the compute shards); it
+  // is a pure performance toggle — every statistic must be bit-identical.
   auto [base, base_dist] = RunMssp({.combining = true, .threads = 8});
   for (bool precombine : {false, true}) {
-    for (bool par_group : {false, true}) {
-      auto [run, dist] = RunMssp({.combining = true,
-                                  .threads = 8,
-                                  .shard_precombine = precombine,
-                                  .parallel_grouping = par_group});
-      ExpectRunsBitIdentical(base, run);
-      EXPECT_EQ(base_dist, dist);
-    }
+    auto [run, dist] = RunMssp(
+        {.combining = true, .threads = 8, .shard_precombine = precombine});
+    ExpectRunsBitIdentical(base, run);
+    EXPECT_EQ(base_dist, dist);
   }
 }
 
@@ -278,142 +265,6 @@ TEST(SenderCombiningTest, StochasticWalkCountsSurviveCombining) {
     EXPECT_EQ(on.num_rounds, off.num_rounds);
     EXPECT_EQ(on.total_logical_sent, off.total_logical_sent);
     EXPECT_GT(on.CombinedRatio(), 1.0);
-  }
-}
-
-// --- Serial vs parallel grouping, all four strategies -----------------
-
-std::vector<Message> RandomInbox(size_t size, uint32_t num_targets,
-                                 uint32_t num_tags, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Message> inbox;
-  inbox.reserve(size);
-  for (size_t i = 0; i < size; ++i) {
-    inbox.push_back(
-        Message{static_cast<VertexId>(rng.NextBounded(num_targets)),
-                static_cast<uint32_t>(rng.NextBounded(num_tags)),
-                static_cast<double>(i), 1.0});
-  }
-  return inbox;
-}
-
-void FillWorker(Worker& worker, const std::vector<Message>& inbox,
-                VertexId vertex_space) {
-  worker.Reset(1);
-  if (vertex_space > 0) worker.set_vertex_space(vertex_space);
-  for (const Message& message : inbox) worker.inbox().PushBack(message);
-}
-
-void ExpectGroupedEqual(const Worker& serial, const Worker& parallel) {
-  const std::span<const MessageRun> a = serial.runs();
-  const std::span<const MessageRun> b = parallel.runs();
-  ASSERT_EQ(a.size(), b.size());
-  size_t total = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].target, b[i].target) << "run " << i;
-    EXPECT_EQ(a[i].tag, b[i].tag) << "run " << i;
-    EXPECT_EQ(a[i].begin, b[i].begin) << "run " << i;
-    EXPECT_EQ(a[i].end, b[i].end) << "run " << i;
-    total = a[i].end;
-  }
-  for (size_t i = 0; i < total; ++i) {
-    EXPECT_EQ(serial.grouped_values()[i], parallel.grouped_values()[i])
-        << "element " << i;
-    EXPECT_EQ(serial.grouped_multiplicities()[i],
-              parallel.grouped_multiplicities()[i])
-        << "element " << i;
-  }
-}
-
-/// Groups `inbox` once serially and once through the pool-wide pass
-/// driver; the outputs must match bitwise, with and without stealable
-/// chunk tasks.
-void ExpectParallelGroupingMatchesSerial(const std::vector<Message>& inbox,
-                                         VertexId vertex_space) {
-  Worker serial;
-  FillWorker(serial, inbox, vertex_space);
-  serial.GroupInbox();
-  ThreadPool pool(3);
-  for (bool steal : {false, true}) {
-    std::vector<Worker> workers(1);
-    FillWorker(workers[0], inbox, vertex_space);
-    ParallelGroupInboxes(pool, std::span<Worker>(workers), steal,
-                         /*collect_timing=*/false);
-    ExpectGroupedEqual(serial, workers[0]);
-  }
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnSortedInbox) {
-  // Ascending distinct (target, tag) keys — the shape the unified
-  // combine path emits — must take the sorted fast path identically.
-  std::vector<Message> inbox;
-  for (uint32_t target = 0; target < 5000; ++target) {
-    for (uint32_t tag = 0; tag < 4; ++tag) {
-      inbox.push_back(Message{target, tag,
-                              static_cast<double>(inbox.size()), 2.0});
-    }
-  }
-  ExpectParallelGroupingMatchesSerial(inbox, /*vertex_space=*/0);
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnSmallInbox) {
-  // Below the comparison-sort cutoff; the parallel driver finishes these
-  // inboxes serially inside its begin pass.
-  ExpectParallelGroupingMatchesSerial(
-      RandomInbox(40, /*num_targets=*/16, /*num_tags=*/3, /*seed=*/9),
-      /*vertex_space=*/0);
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnDenseSingleTagInbox) {
-  // Single tag and n >= vertex space: the dense counting strategy.
-  ExpectParallelGroupingMatchesSerial(
-      RandomInbox(20000, /*num_targets=*/1000, /*num_tags=*/1,
-                  /*seed=*/11),
-      /*vertex_space=*/1000);
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnSparseMultiTagInbox) {
-  // Many targets, several tags, no usable vertex space: the radix
-  // pair-sort strategy, large enough to cross the parallel threshold.
-  ExpectParallelGroupingMatchesSerial(
-      RandomInbox(20000, /*num_targets=*/60000, /*num_tags=*/16,
-                  /*seed=*/13),
-      /*vertex_space=*/0);
-}
-
-TEST(ParallelGroupingTest, MixedStrategyMachinesGroupInLockstep) {
-  // One worker per strategy in a single pool-wide call, as the engine
-  // issues it: each machine may pick a different strategy, and every
-  // output must still match its own serial grouping.
-  struct Shape {
-    std::vector<Message> inbox;
-    VertexId vertex_space;
-  };
-  std::vector<Shape> shapes;
-  shapes.push_back({RandomInbox(40, 16, 3, 21), 0});
-  shapes.push_back({RandomInbox(20000, 1000, 1, 22), 1000});
-  shapes.push_back({RandomInbox(20000, 60000, 16, 23), 0});
-  std::vector<Message> sorted;
-  for (uint32_t target = 0; target < 9000; ++target) {
-    sorted.push_back(Message{target, 0,
-                             static_cast<double>(target), 1.0});
-  }
-  shapes.push_back({std::move(sorted), 0});
-
-  std::vector<Worker> expected(shapes.size());
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    FillWorker(expected[i], shapes[i].inbox, shapes[i].vertex_space);
-    expected[i].GroupInbox();
-  }
-  ThreadPool pool(3);
-  std::vector<Worker> workers(shapes.size());
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    FillWorker(workers[i], shapes[i].inbox, shapes[i].vertex_space);
-  }
-  ParallelGroupInboxes(pool, std::span<Worker>(workers), /*steal=*/true,
-                       /*collect_timing=*/false);
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    ExpectGroupedEqual(expected[i], workers[i]);
   }
 }
 

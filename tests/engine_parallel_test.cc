@@ -1,7 +1,8 @@
 // Tests of the engine's parallel-execution machinery: the thread pool,
-// the radix inbox grouping, the flat combiner index, and the regression
-// that engine results are bit-identical for every thread count (the
-// determinism contract every perf change must preserve).
+// the inbox grouper (against a stable-sort oracle), the flat combiner
+// index, and the regression that engine results are bit-identical for
+// every thread count (the determinism contract every perf change must
+// preserve).
 
 #include <gtest/gtest.h>
 
@@ -83,7 +84,95 @@ TEST(ThreadPoolTest, ParallelSortSmallInputFallsBackToSerial) {
   EXPECT_EQ(values, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-// --- Radix inbox grouping --------------------------------------------
+// --- Inbox grouping oracle ------------------------------------------
+
+/// A dense vertex numbering for one machine: `locals` ascending, and
+/// local_index[v] = v's position in `locals` (zero for vertices the
+/// machine does not own).
+struct Numbering {
+  std::vector<VertexId> locals;
+  std::vector<uint32_t> local_index;
+};
+
+/// `count` owned vertices spread over a universe about twice as large,
+/// so local positions differ from vertex ids.
+Numbering MakeNumbering(uint32_t count, Rng& rng) {
+  Numbering numbering;
+  for (VertexId v = 0; numbering.locals.size() < count; ++v) {
+    if (rng.NextBernoulli(0.5)) {
+      numbering.locals.push_back(v);
+      numbering.local_index.resize(v + 1, 0);
+      numbering.local_index[v] =
+          static_cast<uint32_t>(numbering.locals.size() - 1);
+    }
+  }
+  return numbering;
+}
+
+/// Groups `inbox` — split into `segments` consecutive pieces at random
+/// cut points, every third one repeated so some pieces are empty (the
+/// shape of quiet shards) — and checks the result against
+/// std::stable_sort on (target, tag). Runs must tile [0, n) with strictly
+/// ascending keys. The payload encodes the arrival position, so
+/// stability is observable.
+void ExpectGroupingMatchesStableSort(const std::vector<Message>& inbox,
+                                     const Numbering* numbering = nullptr,
+                                     uint32_t segments = 1,
+                                     uint64_t seed = 1) {
+  std::vector<Message> expected = inbox;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Message& a, const Message& b) {
+                     if (a.target != b.target) return a.target < b.target;
+                     return a.tag < b.tag;
+                   });
+  Rng rng(seed);
+  std::vector<size_t> cuts = {0, inbox.size()};
+  for (uint32_t s = 1; s < segments; ++s) {
+    cuts.push_back(s % 3 == 0 ? cuts.back()
+                              : rng.NextBounded(inbox.size() + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<MessageBlock> blocks(cuts.size() - 1);
+  std::vector<const MessageBlock*> pieces;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    for (size_t i = cuts[b]; i < cuts[b + 1]; ++i) {
+      blocks[b].PushBack(inbox[i]);
+    }
+    pieces.push_back(&blocks[b]);
+  }
+
+  Worker worker;
+  worker.Reset(1);
+  if (numbering != nullptr) {
+    worker.SetLocalNumbering(numbering->local_index.data(),
+                             numbering->locals);
+  }
+  worker.GroupInbox(pieces);
+  ASSERT_EQ(worker.grouped_size(), expected.size());
+  const double* values = worker.grouped_values();
+  const double* mults = worker.grouped_multiplicities();
+  size_t pos = 0;
+  for (const MessageRun& run : worker.runs()) {
+    ASSERT_EQ(static_cast<size_t>(run.begin), pos);
+    ASSERT_LT(run.begin, run.end);
+    if (pos > 0) {
+      const Message& last = expected[pos - 1];
+      ASSERT_TRUE(last.target < run.target ||
+                  (last.target == run.target && last.tag < run.tag))
+          << "runs out of order at " << pos;
+    }
+    for (uint32_t i = run.begin; i < run.end; ++i) {
+      ASSERT_EQ(run.target, expected[i].target) << "at " << i;
+      ASSERT_EQ(run.tag, expected[i].tag) << "at " << i;
+    }
+    pos = run.end;
+  }
+  ASSERT_EQ(pos, expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(values[i], expected[i].value) << "at " << i;
+    ASSERT_EQ(mults[i], expected[i].multiplicity) << "at " << i;
+  }
+}
 
 std::vector<Message> RandomInbox(size_t size, uint32_t num_targets,
                                  uint32_t num_tags, uint64_t seed) {
@@ -94,61 +183,84 @@ std::vector<Message> RandomInbox(size_t size, uint32_t num_targets,
     inbox.push_back(
         Message{static_cast<VertexId>(rng.NextBounded(num_targets)),
                 static_cast<uint32_t>(rng.NextBounded(num_tags)),
-                // Original position, so stability is observable.
-                static_cast<double>(i), 1.0});
+                static_cast<double>(i), 1.0 + 0.5 * static_cast<double>(i)});
   }
   return inbox;
 }
 
-void ExpectGroupInboxMatchesStableSort(std::vector<Message> inbox,
-                                       VertexId vertex_space = 0) {
-  std::vector<Message> expected = inbox;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const Message& a, const Message& b) {
-                     if (a.target != b.target) return a.target < b.target;
-                     return a.tag < b.tag;
-                   });
-  Worker worker;
-  worker.Reset(1);
-  if (vertex_space > 0) worker.set_vertex_space(vertex_space);
-  for (const Message& message : inbox) worker.inbox().PushBack(message);
-  worker.GroupInbox();
-  // Runs must tile [0, n) with strictly ascending (target, tag) keys and
-  // match the stable-sorted AoS oracle element for element. The payload
-  // encodes the original position, so stability is observable.
-  const std::span<const MessageRun> runs = worker.runs();
-  const double* values = worker.grouped_values();
-  const double* mults = worker.grouped_multiplicities();
-  size_t pos = 0;
-  uint64_t previous_key = 0;
-  bool have_previous = false;
-  for (const MessageRun& run : runs) {
-    ASSERT_EQ(static_cast<size_t>(run.begin), pos);
-    ASSERT_LT(run.begin, run.end);
-    const uint64_t key = (static_cast<uint64_t>(run.target) << 32) | run.tag;
-    if (have_previous) {
-      EXPECT_GT(key, previous_key);
-    }
-    previous_key = key;
-    have_previous = true;
-    for (uint32_t i = run.begin; i < run.end; ++i) {
-      EXPECT_EQ(run.target, expected[i].target) << "at " << i;
-      EXPECT_EQ(run.tag, expected[i].tag) << "at " << i;
-    }
-    pos = run.end;
+TEST(GroupingOracleTest, RandomizedShapesMatchStableSort) {
+  // Local spaces of 1, ~9.6K (one machine's share of the benchmark
+  // graph) and 2^20 vertices, plus raw vertex ids spanning 32 bits; tag
+  // widths 0..32 bits, so keys run from one bucket to wider than 32 bits;
+  // random, presorted, reversed and heavy-duplicate arrival orders; one
+  // segment or 8 senders x 16 shards.
+  const std::vector<size_t> sizes = {0,   1,    2,     63,    64,
+                                     65,  127,  1000,  20000, 200000};
+  const uint32_t spaces[] = {0, 1, 9600, 1u << 20};  // 0: raw ids.
+  const int tag_widths[] = {0, 1, 3, 8, 16, 32};
+  Rng rng(2024);
+  std::vector<Numbering> numberings;
+  for (uint32_t space : spaces) {
+    numberings.push_back(space > 0 ? MakeNumbering(space, rng) : Numbering{});
   }
-  ASSERT_EQ(pos, expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(values[i], expected[i].value) << "at " << i;
-    EXPECT_EQ(mults[i], expected[i].multiplicity) << "at " << i;
+  for (int draw = 0; draw < 64; ++draw) {
+    const size_t n = sizes[draw < 20 ? draw % sizes.size()
+                                     : rng.NextBounded(sizes.size())];
+    const uint32_t space_index = draw % 4;
+    const Numbering* numbering =
+        spaces[space_index] > 0 ? &numberings[space_index] : nullptr;
+    const int tag_width = tag_widths[rng.NextBounded(6)];
+    const int order = (draw / 4) % 4;
+    const uint32_t segments = (draw / 16) % 2 == 0 ? 1 : 8 * 16;
+    // Heavy duplicates: a handful of distinct (target, tag) keys.
+    const uint64_t distinct = order == 3 ? 1 + rng.NextBounded(4) : 0;
+    const auto draw_target = [&]() -> VertexId {
+      if (numbering == nullptr) return static_cast<VertexId>(rng.NextUint64());
+      return numbering->locals[rng.NextBounded(numbering->locals.size())];
+    };
+    std::vector<Message> inbox;
+    inbox.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      Message message;
+      if (distinct > 0 && i >= distinct) {
+        message = inbox[rng.NextBounded(distinct)];
+      } else {
+        message.target = draw_target();
+        message.tag = tag_width == 0
+                          ? 0
+                          : static_cast<uint32_t>(rng.NextUint64() >>
+                                                  (64 - tag_width));
+      }
+      message.value = static_cast<double>(i);
+      message.multiplicity = 1.0 + 0.25 * static_cast<double>(i);
+      inbox.push_back(message);
+    }
+    if (order == 1 || order == 2) {
+      std::stable_sort(inbox.begin(), inbox.end(),
+                       [order](const Message& a, const Message& b) {
+                         const bool less = a.target != b.target
+                                               ? a.target < b.target
+                                               : a.tag < b.tag;
+                         const bool greater = a.target != b.target
+                                                  ? a.target > b.target
+                                                  : a.tag > b.tag;
+                         return order == 1 ? less : greater;
+                       });
+      for (size_t i = 0; i < n; ++i) inbox[i].value = static_cast<double>(i);
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "draw " << draw << ": n=" << n << " space="
+                 << spaces[space_index] << " tag_bits=" << tag_width
+                 << " order=" << order << " segments=" << segments);
+    ExpectGroupingMatchesStableSort(inbox, numbering, segments, draw + 1);
   }
 }
 
 TEST(RadixGroupingTest, MatchesStableSortAcrossSizes) {
-  // Straddles the std::stable_sort fallback threshold (64) from both
-  // sides, including the radix path on sizes well past it.
+  // Straddles the digit-width breakpoints (small inboxes plan 8-bit
+  // digits, large ones up to 16) from both sides.
   for (size_t size : {0u, 1u, 2u, 63u, 64u, 65u, 127u, 1000u, 20000u}) {
-    ExpectGroupInboxMatchesStableSort(
+    ExpectGroupingMatchesStableSort(
         RandomInbox(size, /*num_targets=*/977, /*num_tags=*/5,
                     /*seed=*/size + 1));
   }
@@ -157,13 +269,13 @@ TEST(RadixGroupingTest, MatchesStableSortAcrossSizes) {
 TEST(RadixGroupingTest, StableOnHeavilyDuplicatedKeys) {
   // Few distinct (target, tag) keys: nearly every message ties, so any
   // instability in the sort would reorder payloads.
-  ExpectGroupInboxMatchesStableSort(
+  ExpectGroupingMatchesStableSort(
       RandomInbox(5000, /*num_targets=*/3, /*num_tags=*/2, /*seed=*/7));
 }
 
 TEST(RadixGroupingTest, HandlesWideTargetRange) {
-  // Targets spanning the full 32-bit range exercise the high key bytes
-  // (the byte-skipping optimisation must not skip a varying digit).
+  // Raw targets spanning the full 32-bit range plus two tag bits make a
+  // 34-bit key: the second 32-bit window must be sorted too.
   Rng rng(23);
   std::vector<Message> inbox;
   for (size_t i = 0; i < 4096; ++i) {
@@ -171,30 +283,25 @@ TEST(RadixGroupingTest, HandlesWideTargetRange) {
                             static_cast<uint32_t>(rng.NextBounded(3)),
                             static_cast<double>(i), 1.0});
   }
-  ExpectGroupInboxMatchesStableSort(std::move(inbox));
+  ExpectGroupingMatchesStableSort(inbox);
 }
 
 TEST(RadixGroupingTest, SingleTargetIsIdentity) {
-  std::vector<Message> inbox =
-      RandomInbox(300, /*num_targets=*/1, /*num_tags=*/1, /*seed=*/9);
-  ExpectGroupInboxMatchesStableSort(inbox);
+  // A zero-bit key: one bucket, one run, payload in arrival order.
+  ExpectGroupingMatchesStableSort(
+      RandomInbox(300, /*num_targets=*/1, /*num_tags=*/1, /*seed=*/9));
 }
 
 TEST(RadixGroupingTest, DenseCountingPathMatchesStableSort) {
-  // Single tag, vertex space known, and n >= V routes through the dense
-  // counting-sort strategy; it must produce the same grouping as the
-  // comparison sort, including stability.
-  ExpectGroupInboxMatchesStableSort(
-      RandomInbox(5000, /*num_targets=*/64, /*num_tags=*/1, /*seed=*/11),
-      /*vertex_space=*/64);
-}
-
-TEST(RadixGroupingTest, VertexSpaceBelowSizeStillSparseWithManyTags) {
-  // Multiple tags disqualify the dense path even when n >= V; the pair
-  // sort must handle it identically.
-  ExpectGroupInboxMatchesStableSort(
-      RandomInbox(5000, /*num_targets=*/64, /*num_tags=*/4, /*seed=*/13),
-      /*vertex_space=*/64);
+  // A numbered machine with one tag: the key fits one digit, so the
+  // single counting pass builds the runs and scatters the payload.
+  Rng rng(11);
+  const Numbering numbering = MakeNumbering(64, rng);
+  std::vector<Message> inbox = RandomInbox(5000, 64, 1, 11);
+  for (Message& message : inbox) {
+    message.target = numbering.locals[message.target];
+  }
+  ExpectGroupingMatchesStableSort(inbox, &numbering, /*segments=*/128);
 }
 
 // --- Flat combiner index ---------------------------------------------

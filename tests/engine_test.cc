@@ -131,6 +131,37 @@ TEST(WorkerTest, GroupInboxSortsByTargetThenTag) {
   EXPECT_DOUBLE_EQ(aos[2].value, 30.0);
 }
 
+TEST(SyncEngineTest, LocalNumberingAscendsWithVertexIdForEveryPartitioner) {
+  // The grouper keys on local positions; grouped order equals global
+  // (target, tag) order only because every machine numbers its vertices
+  // in ascending id order. Pin that for every partitioner.
+  RmatParams params;
+  params.num_vertices = 3000;
+  params.num_edges = 20000;
+  params.seed = 5;
+  const Graph graph = GenerateRmat(params);
+  for (const char* name : {"hash", "block", "greedy-edge-cut"}) {
+    SCOPED_TRACE(name);
+    const Partitioning part = MakePartitioner(name)->Partition(graph, 8);
+    EngineOptions options;
+    options.cluster = RelaxedCluster(8);
+    SyncEngine engine(graph, part, options);
+    size_t covered = 0;
+    for (uint32_t machine = 0; machine < 8; ++machine) {
+      const std::span<const VertexId> locals = engine.local_vertices(machine);
+      for (size_t i = 0; i < locals.size(); ++i) {
+        if (i > 0) {
+          ASSERT_LT(locals[i - 1], locals[i]);
+        }
+        ASSERT_EQ(part.MachineOf(locals[i]), machine);
+        ASSERT_EQ(engine.local_index(locals[i]), i);
+      }
+      covered += locals.size();
+    }
+    EXPECT_EQ(covered, graph.NumVertices());
+  }
+}
+
 TEST(MirrorPlanTest, StarGraphHub) {
   // Hub 0 connected to 40 leaves, spread over 4 machines by block ranges.
   GraphBuilder builder(41);

@@ -8,7 +8,7 @@
 // variants share a histogram, a scatter cursor, or a fold table across
 // tasks; the sanctioned variants bind a reference through the loop
 // index first (per-chunk slab rows, per-destination tables), exactly
-// how Worker::GroupHistChunk / GroupScatterChunk and the engine's
+// how a chunked histogram/scatter radix pass and the engine's
 // unified fold stay deterministic. Linted under a synthetic
 // src/engine/ path by lint_flow_test.cc.
 
