@@ -1,7 +1,7 @@
-// google-benchmark microbenchmarks of the engine primitives: message
-// staging/combining, inbox grouping, partitioning, counting-mode walk
-// transitions, mirror-plan construction, and LMA fitting. These quantify
-// the cost of the building blocks the figure benches compose.
+// google-benchmark microbenchmarks of the engine primitives: inbox
+// grouping, partitioning, counting-mode walk transitions, mirror-plan
+// construction, and LMA fitting. These quantify the cost of the building
+// blocks the figure benches compose.
 
 #include <benchmark/benchmark.h>
 
@@ -22,102 +22,6 @@ const Graph& BenchGraph() {
   return graph;
 }
 
-void BM_WorkerStage(benchmark::State& state) {
-  const bool combine = state.range(0) != 0;
-  SumCombiner combiner;
-  Worker worker;
-  Rng rng(1);
-  for (auto _ : state) {
-    state.PauseTiming();
-    worker.Reset(8);
-    worker.SetCombiner(combine ? &combiner : nullptr);
-    state.ResumeTiming();
-    for (int i = 0; i < 10000; ++i) {
-      worker.Stage(static_cast<uint32_t>(rng.NextBounded(8)),
-                   static_cast<VertexId>(rng.NextBounded(1024)), 0, 1.0,
-                   1.0);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_WorkerStage)->Arg(0)->Arg(1);
-
-void BM_WorkerStageSkewed(benchmark::State& state) {
-  // Combining-heavy: 10k messages over only `range(0)` distinct targets,
-  // so most Stage calls hit an existing combiner-index entry. Exercises
-  // the flat-hash probe/combine path rather than the append path.
-  const uint32_t distinct = static_cast<uint32_t>(state.range(0));
-  SumCombiner combiner;
-  Worker worker;
-  Rng rng(4);
-  for (auto _ : state) {
-    state.PauseTiming();
-    worker.Reset(8);
-    worker.SetCombiner(&combiner);
-    state.ResumeTiming();
-    for (int i = 0; i < 10000; ++i) {
-      worker.Stage(static_cast<uint32_t>(rng.NextBounded(8)),
-                   static_cast<VertexId>(rng.NextBounded(distinct)), 0,
-                   1.0, 1.0);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_WorkerStageSkewed)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_WorkerDrain(benchmark::State& state) {
-  // Measures delivery: append each staged outbox into a destination inbox
-  // and reset combiner state. Worker buffers are reused across
-  // iterations, so steady-state cost (no per-round allocation) is what
-  // gets measured.
-  SumCombiner combiner;
-  Worker worker;
-  worker.Reset(8);
-  worker.SetCombiner(&combiner);
-  Rng rng(5);
-  MessageBlock inbox;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int i = 0; i < 10000; ++i) {
-      worker.Stage(static_cast<uint32_t>(rng.NextBounded(8)),
-                   static_cast<VertexId>(rng.NextBounded(1 << 14)), 0,
-                   1.0, 1.0);
-    }
-    state.ResumeTiming();
-    for (uint32_t machine = 0; machine < 8; ++machine) {
-      inbox.Clear();
-      worker.Drain(machine, &inbox);
-      benchmark::DoNotOptimize(inbox.targets());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_WorkerDrain);
-
-void BM_WorkerSwapOutbox(benchmark::State& state) {
-  // The single-sender delivery path: an O(1) buffer exchange instead of
-  // a column append. The contrast with BM_WorkerDrain quantifies what
-  // single-machine (or single-active-sender) rounds save.
-  Worker worker;
-  worker.Reset(1);
-  worker.SetCombiner(nullptr);
-  Rng rng(6);
-  MessageBlock inbox;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int i = 0; i < 10000; ++i) {
-      worker.Stage(0, static_cast<VertexId>(rng.NextBounded(1 << 14)), 0,
-                   1.0, 1.0);
-    }
-    inbox.Clear();
-    state.ResumeTiming();
-    worker.SwapOutbox(0, &inbox);
-    benchmark::DoNotOptimize(inbox.targets());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_WorkerSwapOutbox);
-
 void BM_InboxGrouping(benchmark::State& state) {
   // One machine owning 2^12 vertices, single tag: the key fits one
   // digit, so this times the grouper's single counting pass.
@@ -133,7 +37,7 @@ void BM_InboxGrouping(benchmark::State& state) {
   Worker worker;
   for (auto _ : state) {
     state.PauseTiming();
-    worker.Reset(1);
+    worker.Reset();
     worker.SetLocalNumbering(local_index.data(), locals);
     for (VertexId target : targets) {
       worker.inbox().PushBack(target, 0, 1.0, 1.0);

@@ -41,14 +41,7 @@ struct Measurement {
   double wall_ms = 0.0;
   EnginePhaseTimes phase;
   double sim_seconds = 0.0;
-  // Sender-side combining effectiveness: logical messages emitted vs.
-  // wire messages after the combiner (1.0 when combining is off).
-  double logical_sent = 0.0;
-  double wire_messages = 0.0;
 
-  double CombinedRatio() const {
-    return wire_messages > 0.0 ? logical_sent / wire_messages : 1.0;
-  }
   double MessagePathMs() const {
     return 1e3 * (phase.group_seconds + phase.stage_seconds +
                   phase.deliver_seconds);
@@ -56,12 +49,11 @@ struct Measurement {
 };
 
 /// Runs the whole workload at one thread count. With `timed` the engine
-/// collects its per-phase breakdown, which itself costs wall-clock (two
-/// clock reads per staged message), so the headline wall time comes from
-/// a separate untimed pass.
+/// collects its per-phase breakdown (clock reads per round, machine and
+/// sender-destination pair, never per message), so the headline wall
+/// time comes from a separate untimed pass.
 Measurement MeasureThreads(const Dataset& dataset, int reps,
-                           uint32_t threads, bool clamp_to_hardware,
-                           bool combining) {
+                           uint32_t threads, bool clamp_to_hardware) {
   Measurement out;
   out.threads = threads;
   out.effective_threads = ThreadPool::ResolveThreads(threads,
@@ -74,19 +66,12 @@ Measurement MeasureThreads(const Dataset& dataset, int reps,
     options.execution_threads = threads;
     options.clamp_threads_to_hardware = clamp_to_hardware;
     options.collect_phase_times = timed;
-    options.sender_combining = combining;
     options.engine_observer = [&out, timed](const EngineResult& result) {
-      if (timed) {
-        out.phase.compute_seconds += result.phase.compute_seconds;
-        out.phase.group_seconds += result.phase.group_seconds;
-        out.phase.stage_seconds += result.phase.stage_seconds;
-        out.phase.deliver_seconds += result.phase.deliver_seconds;
-        return;
-      }
-      // Message counts come off the untimed (headline) pass; both passes
-      // run the identical schedule.
-      out.logical_sent += result.total_logical_sent;
-      out.wire_messages += result.total_wire_messages;
+      if (!timed) return;
+      out.phase.compute_seconds += result.phase.compute_seconds;
+      out.phase.group_seconds += result.phase.group_seconds;
+      out.phase.stage_seconds += result.phase.stage_seconds;
+      out.phase.deliver_seconds += result.phase.deliver_seconds;
     };
     MultiProcessingRunner runner(dataset, options);
     out.sim_seconds = 0.0;
@@ -117,11 +102,11 @@ Measurement MeasureThreads(const Dataset& dataset, int reps,
 void PrintMeasurement(const Measurement& m) {
   std::printf(
       "threads %u (effective %u)  wall %.1fms  (compute %.1fms, "
-      "group %.1fms, stage %.1fms, deliver %.1fms)  combined_ratio %.3f\n",
+      "group %.1fms, stage %.1fms, deliver %.1fms)\n",
       m.threads, m.effective_threads, m.wall_ms,
       1e3 * m.phase.compute_seconds,
       1e3 * m.phase.group_seconds, 1e3 * m.phase.stage_seconds,
-      1e3 * m.phase.deliver_seconds, m.CombinedRatio());
+      1e3 * m.phase.deliver_seconds);
 }
 
 /// Serialises one measurement as a nested JSON object (no schema stamp).
@@ -160,10 +145,6 @@ int Main(int argc, char** argv) {
                " appended). Empty = headline only.");
   flags.Define("json", "BENCH_engine.json",
                "write phase timings to this path (empty = skip)");
-  flags.Define("combining", "true",
-               "engine-level sender-side combining (the default engine"
-               " configuration). Off reproduces the plain send path;"
-               " task results are bit-identical either way.");
   flags.Define("clamp-to-hardware", "false",
                "silently cap thread counts at the hardware concurrency "
                "(the engine's default). Off here: a scaling benchmark must"
@@ -208,11 +189,9 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const bool combining = flags.GetBool("combining");
   std::vector<Measurement> measurements;
   for (uint32_t threads : sweep) {
-    measurements.push_back(
-        MeasureThreads(dataset, reps, threads, clamp, combining));
+    measurements.push_back(MeasureThreads(dataset, reps, threads, clamp));
     PrintMeasurement(measurements.back());
   }
   const Measurement* headline = &measurements.front();
@@ -247,8 +226,6 @@ int Main(int argc, char** argv) {
                static_cast<uint64_t>(headline->effective_threads));
     json.Field("hardware_threads", static_cast<uint64_t>(hardware));
     json.Field("clamped_to_hardware", clamp);
-    json.Field("combining", combining);
-    json.Field("combined_ratio", headline->CombinedRatio());
     json.Field("wall_ms", headline->wall_ms);
     json.Field("compute_ms", 1e3 * headline->phase.compute_seconds);
     json.Field("group_ms", 1e3 * headline->phase.group_seconds);
@@ -301,18 +278,9 @@ int Main(int argc, char** argv) {
     json.RawField("sweep", sweep_json);
     // Historical reference points, emitted verbatim so regenerating the
     // checked-in BENCH_engine.json keeps the comparison anchors. The
-    // pre-overhaul engine is the PR4 hot path (AoS message vectors, no
+    // pre-overhaul engine is the older AoS hot path (message vectors, no
     // frontier, virtual per-message Compute); the seed baseline predates
     // even that (per-round thread spawn, std::sort grouping).
-    json.RawField(
-        "pre_combining",
-        "{\"note\": \"same workload on the engine immediately before "
-        "sender-side combining and parallel grouping/delivery (serial "
-        "per-machine grouping, per-dest serial drain, no send-path "
-        "combiner under Pregel+)\", \"wall_ms\": 1487.4, "
-        "\"wall_ms_1t\": 1495.2, \"group_ms_1t\": 236.3, "
-        "\"stage_ms_1t\": 113.2, \"deliver_ms_1t\": 51.6, "
-        "\"stage_ms_8t\": 173.5, \"simulated_seconds\": 41938.144}");
     json.RawField(
         "pre_overhaul",
         "{\"note\": \"same workload on the pre-overhaul engine (AoS "

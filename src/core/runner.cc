@@ -99,7 +99,6 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
     engine_options.clamp_threads_to_hardware =
         options_.clamp_threads_to_hardware;
     engine_options.collect_phase_times = options_.collect_phase_times;
-    engine_options.sender_combining = options_.sender_combining;
     engine_options.checkpoint_interval_rounds =
         options_.checkpoint_interval_rounds;
     engine_options.ooc = options_.ooc;

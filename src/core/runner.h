@@ -58,12 +58,8 @@ struct RunnerOptions {
   uint64_t checkpoint_interval_rounds = 0;
   /// Collect real per-phase engine times (see EngineOptions).
   bool collect_phase_times = false;
-  /// Engine-level sender-side combining (EngineOptions::sender_combining):
-  /// exploit the task's combiner on the send path even when the system
-  /// profile does not combine. Task results are bit-identical either way;
-  /// wire/buffer statistics shrink by the reported combined_ratio.
-  bool sender_combining = false;
-  /// Replaces the canonical profile for `system` (ablation studies).
+  /// Replaces the canonical profile for `system` (ablation studies; e.g.
+  /// a Pregel+ run with a combiner sets `combines_messages`).
   std::optional<SystemProfile> profile_override;
   /// Real out-of-core execution (src/ooc): when ooc.enabled, every batch
   /// runs under the hard per-machine memory budget with real spill files

@@ -34,20 +34,6 @@ void MessageBlock::Grow(size_t need) {
   capacity_ = capacity;
 }
 
-void MessageBlock::Append(const MessageBlock& other) {
-  if (other.size_ == 0) return;
-  Reserve(size_ + other.size_);
-  std::memcpy(targets_.get() + size_, other.targets_.get(),
-              other.size_ * sizeof(VertexId));
-  std::memcpy(tags_.get() + size_, other.tags_.get(),
-              other.size_ * sizeof(uint32_t));
-  std::memcpy(values_.get() + size_, other.values_.get(),
-              other.size_ * sizeof(double));
-  std::memcpy(multiplicities_.get() + size_, other.multiplicities_.get(),
-              other.size_ * sizeof(double));
-  size_ += other.size_;
-}
-
 void MessageBlock::AppendColumns(const VertexId* targets,
                                  const uint32_t* tags, const double* values,
                                  const double* multiplicities, size_t n) {
@@ -75,15 +61,6 @@ void MessageBlock::EraseFront(size_t n) {
   std::memmove(multiplicities_.get(), multiplicities_.get() + n,
                remaining * sizeof(double));
   size_ = remaining;
-}
-
-void MessageBlock::Swap(MessageBlock& other) noexcept {
-  targets_.swap(other.targets_);
-  tags_.swap(other.tags_);
-  values_.swap(other.values_);
-  multiplicities_.swap(other.multiplicities_);
-  std::swap(size_, other.size_);
-  std::swap(capacity_, other.capacity_);
 }
 
 }  // namespace vcmp

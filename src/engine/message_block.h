@@ -27,8 +27,8 @@ struct MessageRun {
 /// Struct-of-arrays message buffer: flat target/tag/value/multiplicity
 /// columns sharing one size/capacity.
 ///
-/// This is the engine's replacement for `std::vector<Message>` inboxes
-/// and outboxes. The column layout means grouping and delivery move
+/// This is the engine's replacement for `std::vector<Message>` staging
+/// arenas and inboxes. The column layout means grouping and delivery move
 /// 4- and 8-byte lanes instead of 24-byte structs, and the payload
 /// columns (`values`/`multiplicities`) can be handed to task kernels as
 /// contiguous arrays. Capacity only grows (geometric, epoch-arena
@@ -74,22 +74,11 @@ class MessageBlock {
              message.multiplicity);
   }
 
-  /// Appends all of `other`'s elements (column-wise memcpy).
-  void Append(const MessageBlock& other);
-
   /// Appends `n` elements given as raw column pointers — the spill
   /// restore and capped-delivery paths move column slices directly.
   void AppendColumns(const VertexId* targets, const uint32_t* tags,
                      const double* values, const double* multiplicities,
                      size_t n);
-
-  /// Sets the size to `n` without writing the elements (the unified
-  /// combine fold then writes the payload columns directly). Elements
-  /// not subsequently written are indeterminate.
-  void ResizeUninitialized(size_t n) {
-    Reserve(n);
-    size_ = n;
-  }
 
   /// Removes the first `n` elements (column-wise memmove); capacity is
   /// retained. Used by the spill staging page after flushing.
@@ -100,18 +89,8 @@ class MessageBlock {
     if (n < size_) size_ = n;
   }
 
-  /// O(1) exchange of the two blocks' storage.
-  void Swap(MessageBlock& other) noexcept;
-
   Message At(size_t i) const {
     return Message{targets_[i], tags_[i], values_[i], multiplicities_[i]};
-  }
-
-  void Set(size_t i, const Message& message) {
-    targets_[i] = message.target;
-    tags_[i] = message.tag;
-    values_[i] = message.value;
-    multiplicities_[i] = message.multiplicity;
   }
 
   VertexId* targets() { return targets_.get(); }

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <cmath>
 #include <span>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/wall_clock.h"
-#include "obs/shard_spans.h"
 #include "obs/tracer.h"
 #include "ooc/ooc_runtime.h"
 
@@ -22,24 +20,6 @@ namespace {
 /// with it every reduction order — is a pure function of the round's
 /// inbox.
 constexpr uint32_t kDefaultShardsPerMachine = 16;
-
-/// Largest (local vertices x tag universe) slot space a destination may
-/// have before the merge's dense combine tables fall back to hash
-/// probing. 2^17 slots keep one table's hot arrays (position + epoch,
-/// 8 bytes/slot) around a megabyte — L2-resident on anything current —
-/// while covering every benchmark task's per-machine share.
-constexpr size_t kDenseCombineMaxSlots = size_t{1} << 17;
-
-/// Largest slot space a shard sink will pre-combine into its staging
-/// arenas. Tighter than the merge bound: every (shard, destination)
-/// pair owns a table, so the budget multiplies by shards x machines^2.
-/// 2^15 slots x 8 bytes keeps each table L2-resident while covering
-/// point-to-point tasks like MSSP (~31K slots per machine); bigger slot
-/// spaces skip pre-combining entirely (a per-send probe into a table
-/// that large costs more than the fold it saves, and the merge still
-/// folds duplicates to the identical result because pre-combining is
-/// only enabled for exact-fold combiners).
-constexpr size_t kDensePrecombineMaxSlots = size_t{1} << 15;
 
 }  // namespace
 
@@ -121,93 +101,21 @@ struct SyncEngine::ShardPlan {
   }
 };
 
-/// Result of merging one (sender, destination) outbox from the sender's
-/// shard arenas. Written by exactly one merge task, read serially after
-/// the merge barrier.
+/// What one (sender, destination) pair sent in a round, tallied from the
+/// sender's shard arenas. Written by exactly one tally task; read after
+/// the tally barrier and, under combining, by the destination's next
+/// phase A.
 struct SyncEngine::MergeSlot {
-  /// Logical / wire traffic the sender pushed INTO the destination
-  /// machine, folded by walking the shard arenas in shard order — i.e.
-  /// the sender's emission order, which shard boundaries cannot change.
-  double logical_cross_in = 0.0;
+  /// Wire traffic the sender pushed INTO the destination machine, folded
+  /// by walking the shard arenas in shard order — i.e. the sender's
+  /// emission order, which shard boundaries cannot change.
   double wire_cross_in = 0.0;
-  /// Combining only: distinct (target, tag) keys created in this outbox
+  /// Combining only: distinct (target, tag) keys in this pair's arenas
   /// (integer-valued; the sender's wire_sent contribution).
   double new_wire_keys = 0.0;
   uint64_t merge_ns = 0;
 
   void Clear() { *this = MergeSlot{}; }
-};
-
-/// Direct-indexed replacement for the merge fold's CombineIndex, usable
-/// when the program declares a bounded tag universe: slot
-/// local_index(target) * tags + tag maps each live (target, tag) key to
-/// its outbox position with one array read instead of a hash probe.
-/// First-touch still appends to the outbox, so outbox bytes are identical
-/// to the hash path's at every shard and thread count. Epoch tagging makes
-/// Clear O(1); tables are cleared once per round after delivery drains the
-/// outboxes, exactly when the per-worker CombineIndexes are.
-struct SyncEngine::DenseCombineTable {
-  std::vector<uint32_t> position;  // slot -> outbox position
-  std::vector<uint32_t> epoch;     // valid iff == cur_epoch
-  uint32_t cur_epoch = 1;
-
-  void EnsureSlots(size_t slots) {
-    if (position.size() < slots) {
-      position.resize(slots);
-      epoch.resize(slots, 0);
-    }
-  }
-  void Clear() {
-    ++cur_epoch;
-    if (cur_epoch == 0) {  // Wrapped: stale epochs could alias; rezero.
-      std::fill(epoch.begin(), epoch.end(), 0u);
-      cur_epoch = 1;
-    }
-  }
-};
-
-/// Accumulator for the unified per-destination fold (engine-level sender
-/// combining without mirroring or real OOC): one table per destination
-/// machine folds EVERY sender's shard arenas — senders in machine order,
-/// each sender's arenas in shard order — which is precisely the FP
-/// operation sequence the receiver's per-run fold would perform on the
-/// raw grouped inbox (grouping is stable, sender-major). The fold result,
-/// emitted in ascending (target, tag) slot order, therefore IS the next
-/// round's inbox: already combined, already sorted, no per-pair outboxes
-/// to stage, deliver, or re-group. `last_sender` reproduces the per-pair
-/// wire counts (a sender contributes one wire unit per distinct key it
-/// touches) without materializing per-sender outboxes.
-struct SyncEngine::UnifiedCombineTable {
-  /// One slot per (local vertex, tag) key, packed so a fold touches one
-  /// cache line, not one per column.
-  struct Slot {
-    double value;
-    double mult;
-    uint32_t last_sender;
-    uint32_t epoch;  // valid iff == cur_epoch
-  };
-  static constexpr size_t kBlockShift = 6;  // 64 slots per block.
-  std::vector<Slot> slots;
-  /// Per-64-slot-block epoch marks: the emission scan skips whole blocks
-  /// no fold entry touched, which is most of them for sparse rounds.
-  std::vector<uint32_t> block_epoch;
-  uint32_t cur_epoch = 0;
-
-  void EnsureSlots(size_t count) {
-    if (slots.size() < count) {
-      slots.resize(count, Slot{0.0, 0.0, 0, 0});
-      block_epoch.resize((count >> kBlockShift) + 1, 0);
-    }
-  }
-  /// Starts a fresh fold; entries only live for one fold episode.
-  void BeginFold() {
-    ++cur_epoch;
-    if (cur_epoch == 0) {  // Wrapped: stale epochs could alias; rezero.
-      for (Slot& slot : slots) slot.epoch = 0;
-      std::fill(block_epoch.begin(), block_epoch.end(), 0u);
-      cur_epoch = 1;
-    }
-  }
 };
 
 /// Per-(machine, shard) MessageSink: raw staging arenas (one per
@@ -233,22 +141,13 @@ class SyncEngine::ShardSink : public MessageSink {
     double compute_units = 0.0;
     double aggregate = 0.0;
     double logical_sent = 0.0;
-    /// Wire counts are only meaningful without a combiner (raw staging:
-    /// one wire unit per logical unit; mirror broadcasts count mirror
-    /// hops). Under combining the merge counts distinct keys instead.
+    /// Wire counts are only meaningful without combining (one wire unit
+    /// per logical unit; mirror broadcasts count mirror hops). Under
+    /// combining the tally counts distinct keys instead.
     double wire_sent = 0.0;
-    double logical_cross = 0.0;
     double wire_cross = 0.0;
     double residual_bytes = 0.0;
     bool aggregate_used = false;
-  };
-
-  /// One pre-combine table entry: where in the destination arena this
-  /// (local vertex, tag) key currently lives, valid iff epoch matches
-  /// the sink's current round epoch.
-  struct DenseSlot {
-    uint32_t position;
-    uint32_t epoch;
   };
 
   ShardSink() = default;
@@ -258,47 +157,21 @@ class SyncEngine::ShardSink : public MessageSink {
   /// across a query's batches, while the runner constructs a fresh
   /// engine per batch.
   void Configure(const SyncEngine* engine, uint32_t machine,
-                 uint32_t num_machines, uint64_t query,
-                 const Combiner* combiner, bool precombine,
-                 uint32_t tag_universe, bool slot_targets) {
+                 uint32_t num_machines, uint64_t query) {
     engine_ = engine;
     machine_ = machine;
     num_machines_ = num_machines;
     query_ = query;
     machine_of_ = engine_->partition_.assignment.data();
-    local_index_ = engine_->local_index_.data();
     mirror_broadcast_only_ = engine_->options_.profile.mirroring;
-    combiner_ = combiner;
-    combiner_kind_ = combiner ? combiner->kind() : CombinerKind::kCustom;
-    precombine_ = precombine;
-    tag_universe_ = tag_universe;
-    slot_targets_ = slot_targets;
     arenas_.resize(num_machines);
     cross_weights_.resize(num_machines);
-    dense_.resize(num_machines);
-    for (uint32_t dest = 0; dest < num_machines; ++dest) {
-      size_t slots =
-          (precombine_ && tag_universe > 0)
-              ? engine_->vertices_by_machine_[dest].size() * tag_universe
-              : 0;
-      if (slots == 0 || slots > kDensePrecombineMaxSlots) slots = 0;
-      if (dense_[dest].size() != slots) {
-        dense_[dest].assign(slots, DenseSlot{0, 0});
-      }
-    }
   }
 
   void BeginRound(uint64_t round) {
     round_ = round;
     for (MessageBlock& arena : arenas_) arena.Clear();
     for (std::vector<double>& weights : cross_weights_) weights.clear();
-    ++dense_epoch_;
-    if (dense_epoch_ == 0) {  // Wrapped: stale epochs could alias; rezero.
-      for (std::vector<DenseSlot>& table : dense_) {
-        std::fill(table.begin(), table.end(), DenseSlot{0, 0});
-      }
-      dense_epoch_ = 1;
-    }
     log_.clear();
     cur_ = nullptr;
   }
@@ -331,13 +204,12 @@ class SyncEngine::ShardSink : public MessageSink {
       // logical message, but only the mirror hops cross the network and
       // only they occupy the sender's wire statistics. Each staged cross
       // message carries a cross weight — 1.0 on the first touch of its
-      // machine within this broadcast, else 0.0 — so the merge can fold
+      // machine within this broadcast, else 0.0 — so the tally can fold
       // the destination's cross-in traffic from the arenas in emission
       // order without re-deriving broadcast boundaries.
       const double mult = multiplicity_per_neighbor;
       const double remote = plan->RemoteMirrorMachines(from);
       cur_->wire_cross += remote;
-      cur_->logical_cross += remote;
       cur_->wire_sent += remote;
       std::vector<uint8_t>& seen = mirror_seen_;
       seen.assign(num_machines_, 0);
@@ -389,66 +261,15 @@ class SyncEngine::ShardSink : public MessageSink {
     cur_->logical_sent += multiplicity;
     cur_->wire_sent += multiplicity;
     if (target_machine != machine_) {
-      cur_->logical_cross += multiplicity;
       cur_->wire_cross += multiplicity;
       if (mirror_broadcast_only_) {
         // Mirror profiles mix first-touch hops (weight 1/0) with plain
         // sends from unmirrored vertices (weight = multiplicity); the
-        // weight column keeps the merge's cross-in fold uniform.
+        // weight column keeps the tally's cross-in fold uniform.
         cross_weights_[target_machine].push_back(multiplicity);
       }
     }
-    MessageBlock& arena = arenas_[target_machine];
-    VertexId stored_target = target;
-    std::vector<DenseSlot>& table = dense_[target_machine];
-    if (slot_targets_ || !table.empty()) {
-      const size_t key_slot =
-          static_cast<size_t>(local_index_[target]) * tag_universe_ + tag;
-      // Under the unified fold the arena's target column carries the
-      // destination slot index instead of the vertex id: the fold then
-      // addresses its combine table straight off the stream, with no
-      // dependent local_index_ lookup, and the emission scan restores
-      // real vertex ids from the destination's local vertex list.
-      if (slot_targets_) stored_target = static_cast<VertexId>(key_slot);
-      if (!table.empty()) {
-        // Shard-local dense combine table: fold same-(target, tag)
-        // messages in this shard's emission order before they hit the
-        // arena, via a direct (local vertex, tag) index — no hashing on
-        // the send path. The merge later folds the per-shard segment
-        // results in shard order; exact_fold makes that bit-identical to
-        // folding the raw stream (the per-vertex wire stats above are
-        // ignored under combining — the merge recounts distinct keys),
-        // which is also why destinations too big for a table can skip
-        // pre-combining outright.
-        DenseSlot& entry = table[key_slot];
-        if (entry.epoch == dense_epoch_) {
-          const size_t position = entry.position;
-          switch (combiner_kind_) {
-            case CombinerKind::kSum:
-              arena.values()[position] += value;
-              arena.multiplicities()[position] += multiplicity;
-              break;
-            case CombinerKind::kMin:
-              if (value < arena.values()[position]) {
-                arena.values()[position] = value;
-              }
-              arena.multiplicities()[position] += multiplicity;
-              break;
-            case CombinerKind::kCustom: {
-              Message into = arena.At(position);
-              combiner_->Merge(into,
-                               Message{target, tag, value, multiplicity});
-              arena.Set(position, into);
-              break;
-            }
-          }
-          return;
-        }
-        entry.epoch = dense_epoch_;
-        entry.position = static_cast<uint32_t>(arena.size());
-      }
-    }
-    arena.PushBack(stored_target, tag, value, multiplicity);
+    arenas_[target_machine].PushBack(target, tag, value, multiplicity);
   }
 
   const SyncEngine* engine_ = nullptr;  // Rebound by Configure each Run.
@@ -457,21 +278,10 @@ class SyncEngine::ShardSink : public MessageSink {
   uint64_t query_ = 0;
   const uint32_t* machine_of_ = nullptr;
   bool mirror_broadcast_only_ = false;
-  const Combiner* combiner_ = nullptr;
-  CombinerKind combiner_kind_ = CombinerKind::kCustom;
-  bool precombine_ = false;
-  bool slot_targets_ = false;
-  uint32_t tag_universe_ = 0;
-  const uint32_t* local_index_ = nullptr;
   uint64_t round_ = 0;
-  uint32_t dense_epoch_ = 0;
   Rng rng_{0};
   VertexLog* cur_ = nullptr;
   std::vector<MessageBlock> arenas_;          // One per destination.
-  /// Pre-combining only: per destination, one {arena position, epoch}
-  /// entry per (local vertex, tag) slot; empty when the destination's
-  /// slot space exceeds kDensePrecombineMaxSlots.
-  std::vector<std::vector<DenseSlot>> dense_;
   std::vector<std::vector<double>> cross_weights_;  // Mirror mode only.
   std::vector<VertexLog> log_;
   std::vector<uint8_t> mirror_seen_;
@@ -485,13 +295,9 @@ class SyncEngine::ShardSink : public MessageSink {
 struct SyncEngine::RunScratch : QueryContext::Scratch {
   std::vector<Worker> workers;
   std::vector<std::unique_ptr<ShardSink>> shard_sinks;
-  /// machines x machines dense merge tables (sender-major), sized lazily
-  /// to the destination's (local vertices x tag universe) slot space.
-  /// Empty when the program's tag universe is unbounded or too large.
-  std::vector<DenseCombineTable> dense_combine;
-  /// One accumulator per destination for the unified fold path. Empty
-  /// when that path is inactive.
-  std::vector<UnifiedCombineTable> unified_combine;
+  /// Combining only: one wire-key set per (sender, destination) pair,
+  /// sender-major.
+  std::vector<CombineIndex> wire_keys;
 };
 
 SyncEngine::~SyncEngine() = default;  // ShardSink is complete here.
@@ -601,64 +407,22 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   scratch.workers.resize(machines);
   std::vector<Worker>& workers = scratch.workers;
   const bool collect_times = options_.collect_phase_times;
-  // The combiner is active when the simulated system combines (GraphLab
-  // sync) OR the engine-level sender_combining switch exploits the
-  // program's combiner under a non-combining profile (Pregel-style).
-  // Mirror profiles keep their own wire-dedup path. `combining` below is
-  // the one flag every stats/cost branch keys on, so combined counts
-  // flow into RoundLoad, spill accounting and the batcher's fits
-  // regardless of which switch enabled it.
-  const Combiner* combiner =
-      (options_.profile.combines_messages ||
-       (options_.sender_combining && !options_.profile.mirroring))
-          ? program.combiner()
-          : nullptr;
-  const bool combining = combiner != nullptr;
-  // Shard-local pre-combining additionally requires a fold that may be
-  // reassociated bitwise (Combiner::exact_fold): per-shard tables fold
-  // contiguous emission segments, and the merge folds the segment
-  // results in shard order, so exactness makes the outbox bit-identical
-  // to merge-time-only combining at every shard and thread count.
-  const bool precombine =
-      combining && options_.shard_precombine && combiner->exact_fold();
-  // A bounded tag universe (VertexProgram::combine_tag_universe) lets the
-  // merge fold through direct-indexed tables instead of hash probing.
-  // Gate on the largest destination's slot space; unbounded or oversized
-  // universes keep the CombineIndex path.
-  const uint32_t tag_universe =
-      combining ? program.combine_tag_universe() : 0;
-  std::vector<size_t> dense_slots(machines, 0);
-  bool dense_combine = false;
-  if (tag_universe > 0) {
-    size_t max_slots = 0;
-    for (uint32_t machine = 0; machine < machines; ++machine) {
-      dense_slots[machine] = vertices_by_machine_[machine].size() *
-                             static_cast<size_t>(tag_universe);
-      max_slots = std::max(max_slots, dense_slots[machine]);
-    }
-    dense_combine = max_slots > 0 && max_slots <= kDenseCombineMaxSlots;
-  }
-  // Engine-level sender combining (no mirroring, no real OOC, bounded tag
-  // universe) takes the unified per-destination fold: merge, delivery and
-  // grouping collapse into one pass that writes each destination's next
-  // inbox directly — combined, sorted, one element per (target, tag) key.
-  // Profile-level combining (GraphLab et al.) and OOC runs keep the
-  // per-(sender, dest) merge into outboxes, whose byte-for-byte outbox
-  // behaviour existing goldens and the spill machinery depend on.
-  const bool unified_combine = dense_combine &&
-                               !options_.profile.combines_messages &&
-                               rt == nullptr &&
-                               combiner->kind() != CombinerKind::kCustom;
-  scratch.dense_combine.resize(
-      (dense_combine && !unified_combine)
-          ? static_cast<size_t>(machines) * machines
-          : 0);
-  scratch.unified_combine.resize(unified_combine ? machines : 0);
+  // Combining is a count, not a fold (DESIGN.md §16): when the modeled
+  // system merges same-(target, tag) messages at the sender (GraphLab
+  // sync) and the program's messages may be merged, phase C counts each
+  // (sender, destination) pair's distinct keys as its wire messages.
+  // Receivers still group the raw arenas, so task answers do not depend
+  // on the profile. `combining` is the one flag every stats/cost branch
+  // keys on, so the counts flow into RoundLoad, spill accounting and the
+  // batcher's fits.
+  const bool combining =
+      options_.profile.combines_messages && program.combinable();
+  scratch.wire_keys.resize(
+      combining ? static_cast<size_t>(machines) * machines : 0);
   for (uint32_t machine = 0; machine < machines; ++machine) {
     Worker& worker = workers[machine];
-    worker.Reset(machines);
+    worker.Reset();
     worker.set_collect_timing(collect_times);
-    worker.SetCombiner(combiner);
     worker.SetLocalNumbering(local_index_.data(),
                              vertices_by_machine_[machine]);
   }
@@ -678,26 +442,18 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       shard_sinks[task] = std::make_unique<ShardSink>();
     }
     shard_sinks[task]->Configure(this, task / shards_per_machine, machines,
-                                 ctx.query_id, combiner, precombine,
-                                 tag_universe, unified_combine);
+                                 ctx.query_id);
   }
   // What each destination is sent in a round, as the sender-major list
-  // of buffers its inbox would be concatenated from: the senders'
-  // combined outboxes under combining, else every sender's shard arenas
-  // in shard order. Next round groups this list in place (no merge copy,
-  // no delivery copy); only the out-of-core delivery materializes it.
-  // The buffer objects are stable for the whole Run.
-  const uint32_t segments_per_sender =
-      combiner != nullptr ? 1 : shards_per_machine;
+  // of buffers its inbox would be concatenated from: every sender's
+  // shard arenas, senders in machine order and each sender's arenas in
+  // shard order (task order). Next round groups this list in place (no
+  // merge copy, no delivery copy); only the out-of-core delivery
+  // materializes it. The buffer objects are stable for the whole Run.
   std::vector<std::vector<const MessageBlock*>> sent_to(machines);
   for (uint32_t dest = 0; dest < machines; ++dest) {
-    for (uint32_t sender = 0; sender < machines; ++sender) {
-      for (uint32_t k = 0; k < segments_per_sender; ++k) {
-        sent_to[dest].push_back(
-            combiner != nullptr
-                ? &workers[sender].outbox(dest)
-                : &shard_sinks[sender * shards_per_machine + k]->arena(dest));
-      }
+    for (uint32_t task = 0; task < num_shard_tasks; ++task) {
+      sent_to[dest].push_back(&shard_sinks[task]->arena(dest));
     }
   }
 
@@ -741,12 +497,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   std::vector<uint8_t> machine_aggregate_used(machines, 0);
   std::vector<double> machine_residual_round(machines, 0.0);
   std::vector<double> residual_ledger(machines, 0.0);
-  std::vector<double> shard_weights;  // trace_shard_spans only.
-  // Unified fold only: wire units folded into each machine's inbox last
-  // round (the per-pair path would have delivered this many outbox
-  // elements). Read by the NEXT round's receive fold, since the
-  // pre-folded inbox no longer carries one element per wire unit.
-  std::vector<double> unified_wire_in(machines, 0.0);
   // Real OOC seeding superstep: per-machine degree columns streamed from
   // the vertex-state files (shard planning without touching the CSR).
   std::vector<std::vector<uint32_t>> ooc_degrees(rt != nullptr ? machines
@@ -784,8 +534,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     // --- Phase A: per-machine prep (group, receive fold, shard plan) ---
     // Grouping and the inbox receive fold are serial per machine — the
     // same order at every thread and shard count — and machines are
-    // independent. Grouping reads last round's arenas (or outboxes)
-    // here, before phase B's BeginRound clears them.
+    // independent. Grouping reads last round's arenas here, before phase
+    // B's BeginRound clears them.
     auto prep_machine = [&](uint32_t machine) {
       Worker& worker = workers[machine];
       ShardPlan& plan = plans[machine];
@@ -804,11 +554,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
                               shards_per_machine);
         return;
       }
-      if (unified_combine) {
-        // Last round's fold wrote the inbox pre-grouped and built the
-        // singleton runs alongside; publishing them replaces grouping.
-        worker.PublishPregroupedRuns();
-      } else if (rt != nullptr) {
+      if (rt != nullptr) {
         // Stream last round's spilled overflow back in before grouping;
         // restored messages append after the resident ones, and grouping
         // sorts the union, so the grouped inbox is bit-identical to the
@@ -823,16 +569,15 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       const size_t inbox_size = worker.grouped_size();
       for (size_t i = 0; i < inbox_size; ++i) {
         load.recv_messages += mults[i];
-        if (!unified_combine) {
-          // Wire units: what was actually serialized/deserialized.
-          load.processed_messages += combining ? 1.0 : mults[i];
-        }
       }
-      if (unified_combine) {
-        // Pre-folded inbox: one element per key, so wire units come from
-        // the fold that built it (integer counts — bit-identical to what
-        // a walk over per-pair outbox elements would sum).
-        load.processed_messages += unified_wire_in[machine];
+      if (combining) {
+        // Wire units: what was actually serialized/deserialized — the
+        // distinct keys last round's tally counted per sender (integers,
+        // summed in sender order). Phase C has not overwritten them yet.
+        for (uint32_t sender = 0; sender < machines; ++sender) {
+          load.processed_messages +=
+              merge_slots[sender * machines + machine].new_wire_keys;
+        }
       }
       if (!use_runs) {
         // Built once here, read concurrently by this machine's shards.
@@ -914,310 +659,60 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     };
     parallel_shards(num_shard_tasks, run_shard);
 
-    // --- Phase C: canonical merge / cross-traffic tally ---
+    // --- Phase C: cross-traffic tally ---
     // One task per (sender, destination) pair walks the sender's shard
     // arenas for that destination in ascending shard order — exactly the
-    // sender's serial emission order — so combining folds, outbox bytes
-    // and the destination's cross-in traffic are all independent of the
-    // shard count. Without a combiner nothing is copied: the destination
-    // groups the arenas themselves next round, and this pass only folds
-    // the cross-in traffic.
-    auto merge_pair = [&](uint32_t pair) {
+    // sender's serial emission order — so the destination's cross-in
+    // traffic is independent of the shard count. Nothing is copied: the
+    // destination groups the arenas themselves next round. Under
+    // combining the pass counts the pair's distinct (target, tag) keys:
+    // the wire messages a sender-side combiner would have left.
+    auto tally_pair = [&](uint32_t pair) {
       const uint32_t sender = pair / machines;
       const uint32_t dest = pair % machines;
       const uint64_t t0 = collect_times ? wallclock::NowNs() : 0;
-      Worker& worker = workers[sender];
       MergeSlot& slot = merge_slots[pair];
       slot.Clear();
       const uint32_t first_task = sender * shards_per_machine;
-      double logical_in = 0.0;
-      if (combiner != nullptr) {
-        // Last round's outbox was grouped by its destination in phase A;
-        // start this round's fold from empty.
-        MessageBlock& outbox = worker.outbox(dest);
-        outbox.Clear();
-        worker.combine_index(dest).Clear();
-        if (dense_combine) scratch.dense_combine[pair].Clear();
-        // Per-message fold through the sender's combining index, counting
-        // created keys (integer wire units).
-        const CombinerKind kind = worker.combiner_kind();
-        double new_keys = 0.0;
-        double wire_in = 0.0;
-        // One amortized reservation sized by the arenas (an upper bound:
-        // folds only shrink the outbox) replaces the per-PushBack growth
-        // doublings that dominated stage time under contention.
-        size_t arena_total = 0;
-        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
-          arena_total += shard_sinks[first_task + shard]->arena(dest).size();
-        }
-        outbox.Reserve(outbox.size() + arena_total);
-        // The fold itself: first touch of a (target, tag) key appends to
-        // the outbox; repeats fold in place. The dense variant performs
-        // the identical appends and folds in the identical order — only
-        // the key lookup differs — so the two paths produce the same
-        // outbox bytes and the same counts.
-        const auto fold = [&](VertexId target, uint32_t tag, double value,
-                              double mult, size_t position, bool inserted) {
-          if (inserted) {
-            outbox.PushBack(target, tag, value, mult);
-            new_keys += 1.0;
-            if (dest != sender) wire_in += 1.0;
-          } else {
-            switch (kind) {
-              case CombinerKind::kSum:
-                outbox.values()[position] += value;
-                outbox.multiplicities()[position] += mult;
-                break;
-              case CombinerKind::kMin:
-                if (value < outbox.values()[position]) {
-                  outbox.values()[position] = value;
-                }
-                outbox.multiplicities()[position] += mult;
-                break;
-              case CombinerKind::kCustom: {
-                Message into = outbox.At(position);
-                combiner->Merge(into, Message{target, tag, value, mult});
-                outbox.Set(position, into);
-                break;
-              }
-            }
-          }
-          if (dest != sender) logical_in += mult;
-        };
+      if (combining) {
+        CombineIndex& keys = scratch.wire_keys[pair];
+        keys.Clear();
         for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
           const MessageBlock& arena =
               shard_sinks[first_task + shard]->arena(dest);
           const VertexId* targets = arena.targets();
           const uint32_t* tags = arena.tags();
-          const double* values = arena.values();
-          const double* mults = arena.multiplicities();
           const size_t n = arena.size();
-          if (dense_combine) {
-            // Direct-indexed lookup: one array read per message instead
-            // of a hash probe chain.
-            DenseCombineTable& table = scratch.dense_combine[pair];
-            table.EnsureSlots(dense_slots[dest]);
-            for (size_t i = 0; i < n; ++i) {
-              assert(tags[i] < tag_universe &&
-                     "program sent a tag outside its declared universe");
-              const size_t key_slot =
-                  static_cast<size_t>(local_index_[targets[i]]) *
-                      tag_universe +
-                  tags[i];
-              const bool inserted = table.epoch[key_slot] != table.cur_epoch;
-              if (inserted) {
-                table.epoch[key_slot] = table.cur_epoch;
-                table.position[key_slot] =
-                    static_cast<uint32_t>(outbox.size());
-              }
-              fold(targets[i], tags[i], values[i], mults[i],
-                   table.position[key_slot], inserted);
-            }
-          } else {
-            CombineIndex& index = worker.combine_index(dest);
-            for (size_t i = 0; i < n; ++i) {
-              bool inserted = false;
-              const uint64_t key =
-                  (static_cast<uint64_t>(targets[i]) << 32) | tags[i];
-              const size_t position =
-                  index.FindOrInsert(key, outbox.size(), &inserted);
-              fold(targets[i], tags[i], values[i], mults[i], position,
-                   inserted);
-            }
+          for (size_t i = 0; i < n; ++i) {
+            keys.Insert((static_cast<uint64_t>(targets[i]) << 32) | tags[i]);
           }
         }
-        slot.new_wire_keys = new_keys;
-        slot.wire_cross_in = wire_in;
+        slot.new_wire_keys = static_cast<double>(keys.size());
+        if (dest != sender) slot.wire_cross_in = slot.new_wire_keys;
       } else if (dest != sender) {
         // Wire == logical traffic. Mirror mode folds the per-message
         // cross weights (1/0 for mirror first-touches, multiplicity for
         // plain sends from unmirrored vertices), plain mode the
         // multiplicities, both in emission order.
+        double wire_in = 0.0;
         for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
           const ShardSink& sink = *shard_sinks[first_task + shard];
           if (mirror_plan_ != nullptr) {
             for (double weight : sink.cross_weights(dest)) {
-              logical_in += weight;
+              wire_in += weight;
             }
             continue;
           }
           const MessageBlock& arena = sink.arena(dest);
           const double* mults = arena.multiplicities();
           const size_t n = arena.size();
-          for (size_t i = 0; i < n; ++i) logical_in += mults[i];
+          for (size_t i = 0; i < n; ++i) wire_in += mults[i];
         }
-        slot.wire_cross_in = logical_in;
+        slot.wire_cross_in = wire_in;
       }
-      slot.logical_cross_in = logical_in;
       if (collect_times) slot.merge_ns = wallclock::NowNs() - t0;
     };
-    // Unified fold: one task per destination replaces that destination's
-    // column of merge_pair tasks AND its delivery AND next round's
-    // grouping. Folding senders in machine order, each sender's arenas in
-    // shard order, is the exact FP operation sequence the receiver's
-    // per-run fold would see over the raw grouped inbox (stable grouping
-    // is sender-major), so task results are bit-identical to the
-    // non-combining run at every thread and shard count.
-    auto fold_dest = [&](uint32_t dest) {
-      const uint64_t t0 = collect_times ? wallclock::NowNs() : 0;
-      UnifiedCombineTable& table = scratch.unified_combine[dest];
-      table.EnsureSlots(dense_slots[dest]);
-      table.BeginFold();
-      const uint32_t cur_epoch = table.cur_epoch;
-      UnifiedCombineTable::Slot* const slots = table.slots.data();
-      uint32_t* const block_epoch = table.block_epoch.data();
-      MessageBlock& inbox = workers[dest].inbox();
-      inbox.Clear();
-      double wire_total = 0.0;
-      size_t distinct = 0;
-      // The arenas' target column holds destination slot indices (the
-      // sinks store them under slot_targets), so the fold addresses its
-      // table straight off the stream; the combine op is lifted out of
-      // the loop as a template parameter so each kind gets a tight
-      // specialised loop.
-      auto fold_senders = [&](double identity, auto&& combine_op) {
-        for (uint32_t sender = 0; sender < machines; ++sender) {
-          MergeSlot& slot = merge_slots[sender * machines + dest];
-          slot.Clear();
-          size_t new_key_count = 0;
-          double mult_sum = 0.0;
-          const uint32_t first_task = sender * shards_per_machine;
-          for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
-            const MessageBlock& arena =
-                shard_sinks[first_task + shard]->arena(dest);
-            const VertexId* key_slots = arena.targets();
-            const double* values = arena.values();
-            const double* mults = arena.multiplicities();
-            const size_t n = arena.size();
-            // The table access is a random load; prefetching a fixed
-            // distance ahead keeps several misses in flight at once. The
-            // body is branchless — a first touch folds into the
-            // combiner's identity element instead of taking a separate
-            // store path, because the fresh/live mix is unpredictable in
-            // sparse rounds and mispredicts would dominate the loop.
-            constexpr size_t kFoldPrefetchDistance = 16;
-            double mult_even = 0.0;
-            double mult_odd = 0.0;
-            const size_t prefetch_end =
-                n > kFoldPrefetchDistance ? n - kFoldPrefetchDistance : 0;
-            for (size_t i = 0; i < n; ++i) {
-              if (i < prefetch_end) {
-                __builtin_prefetch(
-                    &slots[key_slots[i + kFoldPrefetchDistance]], 1, 1);
-              }
-              const size_t key_slot = key_slots[i];
-              assert(key_slot < dense_slots[dest] &&
-                     "program sent a tag outside its declared universe");
-              UnifiedCombineTable::Slot& entry = slots[key_slot];
-              const bool fresh = entry.epoch != cur_epoch;
-              const double base_value = fresh ? identity : entry.value;
-              const double base_mult = fresh ? 0.0 : entry.mult;
-              const uint32_t prev_sender = entry.last_sender;
-              entry.value = combine_op(base_value, values[i]);
-              entry.mult = base_mult + mults[i];
-              entry.epoch = cur_epoch;
-              entry.last_sender = sender;
-              block_epoch[key_slot >> UnifiedCombineTable::kBlockShift] =
-                  cur_epoch;
-              // A sender's first touch of a key — fresh or last touched
-              // by an earlier sender — is one wire unit from that sender
-              // (the per-pair path would have appended it to the
-              // sender's outbox).
-              new_key_count +=
-                  static_cast<size_t>(fresh | (prev_sender != sender));
-              distinct += static_cast<size_t>(fresh);
-              if (i & 1) {
-                mult_odd += mults[i];
-              } else {
-                mult_even += mults[i];
-              }
-            }
-            mult_sum += mult_even + mult_odd;
-          }
-          const double new_keys = static_cast<double>(new_key_count);
-          slot.new_wire_keys = new_keys;
-          if (dest != sender) {
-            slot.wire_cross_in = new_keys;
-            slot.logical_cross_in = mult_sum;
-          }
-          wire_total += new_keys;
-        }
-      };
-      const CombinerKind kind = workers[dest].combiner_kind();
-      if (kind == CombinerKind::kMin) {
-        fold_senders(std::numeric_limits<double>::infinity(),
-                     [](double base, double value) {
-                       return value < base ? value : base;
-                     });
-      } else {
-        fold_senders(0.0,
-                     [](double base, double value) { return base + value; });
-      }
-      unified_wire_in[dest] = wire_total;
-      // Emit in ascending slot order — ascending (target, tag), since
-      // local indices ascend with vertex ids — so the inbox arrives
-      // pre-sorted and next round's GroupInbox takes its no-permutation
-      // fast path. Blocks no fold entry marked are skipped wholesale.
-      // One slot of slack: the branchless compaction below stores
-      // unconditionally, so dead slots after the last live one write
-      // (and a growth landing exactly on `distinct` would overflow)
-      // one past the cursor.
-      inbox.Reserve(distinct + 1);
-      inbox.ResizeUninitialized(distinct);
-      double* const out_values = inbox.values();
-      double* const out_mults = inbox.multiplicities();
-      // Every emitted key is distinct, so its run is a singleton; build
-      // the runs here while target and tag are in registers and next
-      // round's prep publishes them instead of re-deriving them from a
-      // grouping scan. The runs are the round's only key source (the
-      // Worker contract already routes consumers through runs()), so the
-      // inbox's own target/tag columns stay unwritten — two dead store
-      // streams fewer per key.
-      std::vector<MessageRun>& runs = workers[dest].pregrouped_runs();
-      runs.resize(distinct + 1);
-      MessageRun* const out_runs = runs.data();
-      size_t emitted = 0;
-      const std::vector<VertexId>& locals = vertices_by_machine_[dest];
-      const size_t total_slots = dense_slots[dest];
-      constexpr size_t kBlockSlots =
-          size_t{1} << UnifiedCombineTable::kBlockShift;
-      for (size_t block = 0; block * kBlockSlots < total_slots; ++block) {
-        if (block_epoch[block] != cur_epoch) continue;
-        const size_t begin = block * kBlockSlots;
-        const size_t end = std::min(begin + kBlockSlots, total_slots);
-        size_t local = begin / tag_universe;
-        uint32_t tag = static_cast<uint32_t>(begin % tag_universe);
-        // Branchless compaction: store unconditionally, advance the
-        // cursor only on live slots — the live/dead mix inside a touched
-        // block is as unpredictable as the fold's.
-        for (size_t s = begin; s < end; ++s) {
-          const UnifiedCombineTable::Slot& entry = slots[s];
-          out_values[emitted] = entry.value;
-          out_mults[emitted] = entry.mult;
-          out_runs[emitted] =
-              MessageRun{locals[local], tag, static_cast<uint32_t>(emitted),
-                         static_cast<uint32_t>(emitted) + 1};
-          emitted += static_cast<size_t>(entry.epoch == cur_epoch);
-          if (++tag == tag_universe) {
-            tag = 0;
-            ++local;
-          }
-        }
-      }
-      assert(emitted == distinct &&
-             "emission must cover exactly the folded keys");
-      (void)emitted;
-      runs.resize(distinct);
-      if (collect_times) {
-        merge_slots[static_cast<size_t>(dest) * machines + dest].merge_ns =
-            wallclock::NowNs() - t0;
-      }
-    };
-    if (unified_combine) {
-      pool.ParallelFor(machines, fold_dest);
-    } else {
-      parallel_shards(machines * machines, merge_pair);
-    }
+    parallel_shards(machines * machines, tally_pair);
 
     // --- Phase D: fold per-vertex logs in vertex order ---
     // Shard s holds a contiguous vertex range, so concatenating the
@@ -1230,7 +725,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       double residual = 0.0;
       double active = 0.0;
       double logical_sent = 0.0;
-      double logical_cross = 0.0;
       double wire_sent = 0.0;
       double wire_cross = 0.0;
       const uint32_t first_task = machine * shards_per_machine;
@@ -1242,15 +736,14 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           aggregate_used = aggregate_used || rec.aggregate_used;
           residual += rec.residual_bytes;
           logical_sent += rec.logical_sent;
-          logical_cross += rec.logical_cross;
           wire_sent += rec.wire_sent;
           wire_cross += rec.wire_cross;
           active += 1.0;
         }
       }
-      if (combiner != nullptr) {
-        // Wire units under combining are the distinct keys the merge
-        // created — integers, summed over destinations in fixed order.
+      if (combining) {
+        // Wire units under combining are the distinct keys the tally
+        // counted — integers, summed over destinations in fixed order.
         wire_sent = 0.0;
         wire_cross = 0.0;
         for (uint32_t dest = 0; dest < machines; ++dest) {
@@ -1263,7 +756,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       stats.logical_sent = logical_sent;
       stats.wire_sent = wire_sent;
       stats.wire_cross = wire_cross;
-      stats.logical_cross = logical_cross;
       MachineRoundLoad& load = loads[machine];
       load.active_vertices = active;
       machine_units[machine] = units;
@@ -1309,8 +801,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           std::max(load.recv_messages, send.logical_sent);
       if (combining) {
         // Merged messages skip serialization/allocation; only the fold
-        // remains. (combined_work_fraction defaults to 1.0, so flipping
-        // sender_combining on under Pregel+ leaves compute pricing
+        // remains. (combined_work_fraction defaults to 1.0, so a Pregel+
+        // profile with combines_messages set leaves compute pricing
         // untouched — the win shows up in wire bytes and buffers.)
         load.processed_messages *= options_.profile.combined_work_fraction;
       }
@@ -1364,10 +856,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             rt->TakeRoundStreamBytes(machine) * scale;
         // Live: this round's inbox plus everything the machine sent.
         size_t live_messages = workers[machine].inbox().size();
-        for (uint32_t dest = 0; dest < machines; ++dest) {
-          for (uint32_t k = 0; k < segments_per_sender; ++k) {
+        const uint32_t first_task = machine * shards_per_machine;
+        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
+          for (uint32_t dest = 0; dest < machines; ++dest) {
             live_messages +=
-                sent_to[dest][machine * segments_per_sender + k]->size();
+                shard_sinks[first_task + shard]->arena(dest).size();
           }
         }
         rt->NoteRoundLiveBytes(machine,
@@ -1493,32 +986,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         t = std::min(t + duration, t_end);
         tracer->End(trace_track, t);
       };
-      // The compute child optionally nests one span per (machine, shard),
-      // sized by the shard's staged messages — the same integer weights
-      // at every thread count, so the subdivision is deterministic too.
-      tracer->Begin(trace_track, "compute", t,
-                    {{"max_compute_seconds", stats.compute_seconds},
-                     {"network_stall_seconds", stats.network_seconds},
-                     {"disk_stall_seconds", stats.disk_stall_seconds},
-                     {"thrash_multiplier", stats.thrash_multiplier}});
-      {
-        const double compute_end = std::min(t + work, t_end);
-        if (options_.trace_shard_spans) {
-          shard_weights.assign(num_shard_tasks, 0.0);
-          for (uint32_t task = 0; task < num_shard_tasks; ++task) {
-            double staged = 0.0;
-            for (uint32_t dest = 0; dest < machines; ++dest) {
-              staged +=
-                  static_cast<double>(shard_sinks[task]->arena(dest).size());
-            }
-            shard_weights[task] = staged;
-          }
-          obs::EmitShardSpans(*tracer, trace_track, t, compute_end - t,
-                              shards_per_machine, shard_weights);
-        }
-        t = compute_end;
-      }
-      tracer->End(trace_track, t);
+      child("compute", work,
+            {{"max_compute_seconds", stats.compute_seconds},
+             {"network_stall_seconds", stats.network_seconds},
+             {"disk_stall_seconds", stats.disk_stall_seconds},
+             {"thrash_multiplier", stats.thrash_multiplier}});
       child("barrier", stats.barrier_seconds);
       if (round_checkpoint_seconds > 0.0) {
         child("checkpoint", round_checkpoint_seconds);
@@ -1568,8 +1040,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
 
     // --- Deliver: only the out-of-core path materializes an inbox ---
-    // Everywhere else next round's phase A groups sent_to in place, and
-    // the unified fold already wrote every destination's inbox. Under
+    // Everywhere else next round's phase A groups sent_to in place. Under
     // OOC the resident-message cap cuts the sender-major concatenation
     // at an arbitrary point: the prefix stays resident and the suffix
     // pages to the spill file. At most one segment straddles the cut, so
@@ -1605,10 +1076,9 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
     if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
     for (uint32_t machine = 0; machine < machines; ++machine) {
-      if (unified_combine || rt != nullptr) {
-        any_messages_pending |=
-            !workers[machine].inbox().empty() ||
-            (rt != nullptr && rt->has_pending_spill(machine));
+      if (rt != nullptr) {
+        any_messages_pending |= !workers[machine].inbox().empty() ||
+                                rt->has_pending_spill(machine);
         continue;
       }
       for (const MessageBlock* segment : sent_to[machine]) {

@@ -42,7 +42,7 @@ struct EngineOptions {
   /// Stop executing once overload is certain (memory overflow or the
   /// simulated clock passing the cut-off); the result is flagged.
   bool stop_early_on_overload = true;
-  /// Worker threads for the compute, merge and delivery phases. Results
+  /// Worker threads for the compute, tally and delivery phases. Results
   /// are bit-identical for any thread count: compute runs over fixed
   /// vertex shards whose outputs land in per-shard arenas and per-vertex
   /// log records, merged and folded in fixed shard/vertex order (see
@@ -71,21 +71,6 @@ struct EngineOptions {
   /// (perf-trajectory benches). Off by default: the hot paths then pay
   /// only a predictable branch per round.
   bool collect_phase_times = false;
-  /// Exploit the program's Combiner even when the simulated system's
-  /// profile does not combine (Pregel-style sender-side combining,
-  /// DESIGN.md section 16). Task results are bit-identical with this on
-  /// or off — only wire-message counts, buffered bytes and the costs
-  /// derived from them change. Ignored under mirroring profiles (mirror
-  /// routing already dedupes the wire) and when the program has no
-  /// combiner.
-  bool sender_combining = false;
-  /// When combining is active (profile-driven or sender_combining) and
-  /// the combiner's fold is exact (Combiner::exact_fold), additionally
-  /// pre-combine inside each compute shard through a per-(shard, dest)
-  /// combine table, shrinking staging arenas before the merge. Outputs
-  /// are bit-identical to merge-time-only combining at every shard and
-  /// thread count; this switch exists as an escape hatch / A-B knob.
-  bool shard_precombine = true;
 
   /// --- Observability (src/obs) ---
   /// When set, the engine emits one nested span group per round on
@@ -100,12 +85,6 @@ struct EngineOptions {
   /// track at Run() (standalone engine users; the runner passes its own).
   uint32_t trace_track = kAutoTrack;
   double trace_time_offset_seconds = 0.0;
-  /// Additionally emit one child span per (machine, shard) under each
-  /// round's compute span, sized proportionally to the shard's staged
-  /// message count (simulated timestamps; bit-identical across thread
-  /// counts like everything else in the trace). Off by default: a round
-  /// then costs machines × shards extra spans.
-  bool trace_shard_spans = false;
   static constexpr uint32_t kAutoTrack = ~0u;
 
   /// --- Real out-of-core execution (src/ooc, DESIGN.md section 13) ---
@@ -140,7 +119,7 @@ struct EngineOptions {
 struct EnginePhaseTimes {
   double compute_seconds = 0.0;  // Superstep compute (includes group/stage).
   double group_seconds = 0.0;    // Worker::GroupInbox busy time.
-  double stage_seconds = 0.0;    // Merge / cross-traffic tally busy time.
+  double stage_seconds = 0.0;    // Cross-traffic tally busy time.
   double deliver_seconds = 0.0;  // Out-of-core inbox delivery.
 };
 
@@ -153,8 +132,9 @@ struct EngineResult {
   uint64_t num_rounds = 0;
   double total_messages = 0.0;       // Logical, paper scale.
   /// Physical messages that crossed the wire (paper scale) and the
-  /// logical units they stand for. Equal unless a combiner (or mirror
-  /// routing) merged messages; their ratio is the run's combine ratio.
+  /// logical units they stand for. Equal unless the modeled system
+  /// combines (or mirror routing dedupes); their ratio is the run's
+  /// combine ratio.
   double total_wire_messages = 0.0;
   double total_logical_sent = 0.0;
   /// Logical sent units per wire message (>= 1 under combining; exactly
@@ -255,8 +235,6 @@ class SyncEngine {
   class ShardSink;
   struct ShardPlan;
   struct MergeSlot;
-  struct DenseCombineTable;
-  struct UnifiedCombineTable;
   struct RunScratch;
 
   /// Per-machine share of CSR storage, generated scale.
@@ -278,10 +256,9 @@ class SyncEngine {
   std::vector<double> edge_stream_bytes_;    // Per machine (OOC).
   std::vector<std::vector<VertexId>> vertices_by_machine_;
   /// local_index_[v] = position of v within vertices_by_machine_[its
-  /// machine] — the dense per-machine vertex numbering the grouper and the
-  /// direct-indexed combine tables key on. Ascending in v within each
-  /// machine, which keeps grouped order equal to global (target, tag)
-  /// order.
+  /// machine] — the dense per-machine vertex numbering the grouper keys
+  /// on. Ascending in v within each machine, which keeps grouped order
+  /// equal to global (target, tag) order.
   std::vector<uint32_t> local_index_;
 };
 

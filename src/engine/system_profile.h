@@ -55,9 +55,11 @@ struct SystemProfile {
   /// Vertices with degree above this get mirrors on neighbour machines.
   uint64_t mirror_degree_threshold = 64;
 
-  /// Sender-side combining of same-target messages (GraphLab sync; also
-  /// how Pregel combiners behave). Affects wire bytes, not the logical
-  /// congestion count.
+  /// Sender-side combining of same-(target, tag) messages (GraphLab sync;
+  /// also how a Pregel+ run with a combiner behaves). Affects wire bytes
+  /// and buffers, not the logical congestion count. The SyncEngine
+  /// prices it as a count of distinct keys per sender and destination
+  /// and folds nothing, so task answers do not depend on it.
   bool combines_messages = false;
   /// Per-logical-message work relative to full message handling when the
   /// message is folded into an existing combiner entry (no serialization,

@@ -143,16 +143,12 @@ class VertexProgram {
     return 0.0;
   }
 
-  /// Sender-side combiner, or nullptr when messages must not be merged.
-  virtual const Combiner* combiner() const { return nullptr; }
-
-  /// Upper bound on the tag values this program ever sends: every tag is
-  /// in [0, combine_tag_universe()), or 0 when tags are unbounded /
-  /// unknown (e.g. tags carrying raw vertex ids). A small dense universe
-  /// lets combining engines replace the hash-probe combine index with a
-  /// direct-indexed table over (local vertex, tag) — the same first-touch
-  /// fold, minus the probing.
-  virtual uint32_t combine_tag_universe() const { return 0; }
+  /// True when messages with equal (target, tag) may be merged at the
+  /// sender without changing the result (the receiver folds each run
+  /// with a sum or a min). A combining system (GraphLab sync) then sends
+  /// one wire message per distinct key and sender; the engine counts
+  /// those keys and folds nothing (DESIGN.md §16).
+  virtual bool combinable() const { return false; }
 };
 
 }  // namespace vcmp

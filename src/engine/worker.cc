@@ -82,13 +82,7 @@ void CombineIndex::Grow() {
   }
 }
 
-void Worker::Reset(uint32_t num_machines) {
-  // Resize (not assign) so that inner buffers keep their capacity across
-  // rounds and repeated engine runs — the steady state allocates nothing.
-  outboxes_.resize(num_machines);
-  combine_index_.resize(num_machines);
-  for (MessageBlock& outbox : outboxes_) outbox.Clear();
-  for (CombineIndex& index : combine_index_) index.Clear();
+void Worker::Reset() {
   inbox_.Clear();
   runs_.clear();
   grouped_values_ptr_ = nullptr;
@@ -97,18 +91,6 @@ void Worker::Reset(uint32_t num_machines) {
   aos_valid_ = false;
   send_stats_.Clear();
   group_ns_ = 0;
-}
-
-void Worker::Drain(uint32_t machine, MessageBlock* dest) {
-  MessageBlock& outbox = outboxes_[machine];
-  dest->Append(outbox);
-  outbox.Clear();
-  combine_index_[machine].Clear();
-}
-
-void Worker::SwapOutbox(uint32_t machine, MessageBlock* dest) {
-  dest->Swap(outboxes_[machine]);
-  combine_index_[machine].Clear();
 }
 
 void Worker::GroupInbox() {
@@ -120,15 +102,6 @@ void Worker::GroupInbox(std::span<const MessageBlock* const> segments) {
   const uint64_t t0 = collect_timing_ ? NowNs() : 0;
   GroupSegments(segments);
   if (collect_timing_) group_ns_ += NowNs() - t0;
-}
-
-void Worker::PublishPregroupedRuns() {
-  // runs_ was filled by the fold through pregrouped_runs(); the payload
-  // stays in the inbox columns.
-  aos_valid_ = false;
-  grouped_size_ = inbox_.size();
-  grouped_values_ptr_ = inbox_.values();
-  grouped_mults_ptr_ = inbox_.multiplicities();
 }
 
 MessageRun Worker::RunFor(uint64_t key, uint32_t begin, uint32_t end) const {

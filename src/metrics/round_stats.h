@@ -21,7 +21,8 @@ struct RoundStats {
   double cross_machine_bytes = 0.0;
   double active_vertices = 0.0;
   /// Physical messages put on the wire this round (equals the logical
-  /// sent units unless a combiner or mirror routing merged messages).
+  /// sent units unless the modeled system combines or mirror routing
+  /// dedupes).
   double wire_messages = 0.0;
   /// Logical sent units per wire message (1.0 when nothing merged).
   double combined_ratio = 1.0;

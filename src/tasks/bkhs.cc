@@ -1,7 +1,6 @@
 #include "tasks/bkhs.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -19,9 +18,6 @@ BkhsProgram::BkhsProgram(const TaskContext& context, ProgramFlavor flavor,
       std::min<double>(params.max_sampled_sources, workload));
   VCMP_CHECK(samples > 0);
   extrapolation_ = workload / samples;
-  // Hop counts min-fold exactly; multiplicity sums are exact only for an
-  // integral extrapolation factor (see MinCombiner::exact_fold).
-  min_combiner_ = MinCombiner(std::rint(extrapolation_) == extrapolation_);
   Rng rng(seed);
   std::vector<bool> used(num_vertices_, false);
   sources_.reserve(samples);

@@ -53,9 +53,7 @@ class BkhsProgram : public VertexProgram {
   bool ShouldTerminate(uint64_t rounds_completed) const override {
     return rounds_completed >= params_.k + 1;
   }
-  const Combiner* combiner() const override { return &min_combiner_; }
-  // Tags are sample indices: [0, num_samples).
-  uint32_t combine_tag_universe() const override { return num_samples(); }
+  bool combinable() const override { return true; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());
@@ -76,7 +74,6 @@ class BkhsProgram : public VertexProgram {
   const BkhsTask::Params params_;
   const VertexId num_vertices_;
   double extrapolation_ = 1.0;
-  MinCombiner min_combiner_;
   std::vector<VertexId> sources_;
   /// samples x n, row-major. uint8_t (not vector<bool>): adjacent vertex
   /// slots must not share a byte once shards of one machine run

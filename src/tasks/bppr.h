@@ -80,9 +80,7 @@ class BpprCountingProgram : public VertexProgram {
   uint64_t StoppedAt(VertexId u) const { return stopped_[u]; }
   uint64_t TotalStopped() const;
   uint64_t walks_per_vertex() const { return walks_per_vertex_; }
-  const Combiner* combiner() const override { return &sum_combiner_; }
-  // Counting mode sends on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  bool combinable() const override { return true; }
 
  private:
   void AdvanceResident(VertexId v, uint64_t resident, MessageSink& sink);
@@ -91,9 +89,6 @@ class BpprCountingProgram : public VertexProgram {
   const TaskContext context_;
   const uint64_t walks_per_vertex_;
   const BpprTask::Params params_;
-  // Walk counts: value and multiplicity streams are integers < 2^53, so
-  // the sum fold may be reassociated (shard pre-combining, DESIGN.md §16).
-  SumCombiner sum_combiner_{/*exact=*/true};
   std::vector<uint64_t> stopped_;
 };
 
@@ -162,7 +157,7 @@ class BpprPerSourceProgram : public VertexProgram {
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
-  const Combiner* combiner() const override { return &sum_combiner_; }
+  bool combinable() const override { return true; }
 
   uint64_t StoppedAt(VertexId u) const { return stopped_[u]; }
   uint64_t TotalStopped() const;
@@ -185,7 +180,6 @@ class BpprPerSourceProgram : public VertexProgram {
   const TaskContext context_;
   const uint64_t walks_per_vertex_;
   const BpprTask::Params params_;
-  SumCombiner sum_combiner_;
   std::vector<uint64_t> stopped_;
   // MakeProgram builds a fresh program per batch per query, so the
   // mutex only ever orders one query's shard threads.

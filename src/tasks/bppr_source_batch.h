@@ -52,9 +52,7 @@ class BpprSourceBatchProgram : public VertexProgram {
   void Compute(VertexId v, std::span<const Message> inbox,
                MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
-  const Combiner* combiner() const override { return &sum_combiner_; }
-  // Shares travel on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  bool combinable() const override { return true; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());
@@ -70,7 +68,6 @@ class BpprSourceBatchProgram : public VertexProgram {
   const TaskContext context_;
   const BpprSourceBatchTask::Params params_;
   double extrapolation_ = 1.0;
-  SumCombiner sum_combiner_;
   Rng rng_;
   std::vector<VertexId> sources_;
   std::vector<bool> is_source_;

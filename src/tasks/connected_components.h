@@ -24,9 +24,7 @@ class ConnectedComponentsProgram : public VertexProgram {
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
-  const Combiner* combiner() const override { return &min_combiner_; }
-  // Labels travel on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  bool combinable() const override { return true; }
 
   /// The component label (minimum vertex id in the component) of v after
   /// the run.
@@ -40,8 +38,6 @@ class ConnectedComponentsProgram : public VertexProgram {
   void Offer(VertexId v, uint32_t label, MessageSink& sink);
 
   const TaskContext context_;
-  // Integer labels and unit multiplicities: the fold reassociates exactly.
-  MinCombiner min_combiner_{/*exact=*/true};
   std::vector<uint32_t> labels_;
 };
 

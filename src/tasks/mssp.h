@@ -59,9 +59,7 @@ class MsspProgram : public VertexProgram {
   bool UsesComputeRun() const override { return true; }
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
-  const Combiner* combiner() const override { return &min_combiner_; }
-  // Tags are sample indices: [0, num_samples).
-  uint32_t combine_tag_universe() const override { return num_samples(); }
+  bool combinable() const override { return true; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());
@@ -83,7 +81,6 @@ class MsspProgram : public VertexProgram {
   const VertexId num_vertices_;
   double extrapolation_ = 1.0;
   std::vector<VertexId> sources_;
-  MinCombiner min_combiner_;
   std::vector<uint32_t> dist_;  // samples x n, row-major.
 };
 

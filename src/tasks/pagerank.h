@@ -39,9 +39,7 @@ class PageRankProgram : public VertexProgram {
     return params_.tolerance > 0.0 && aggregate_sum < params_.tolerance;
   }
   double StateBytes(uint32_t machine) const override;
-  const Combiner* combiner() const override { return &sum_combiner_; }
-  // Rank mass travels on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  bool combinable() const override { return true; }
 
   double Rank(VertexId v) const { return rank_[v]; }
   /// Sum of ranks (== 1 minus leaked dangling mass).
@@ -52,7 +50,6 @@ class PageRankProgram : public VertexProgram {
 
   const TaskContext context_;
   const Params params_;
-  SumCombiner sum_combiner_;
   std::vector<double> rank_;
 };
 

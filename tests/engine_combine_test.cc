@@ -1,270 +1,402 @@
-// Tests of sender-side combining (DESIGN.md §16): the Sum/Min combiner
-// fold semantics the unified combine path relies on, and the contract
-// that enabling combining changes wire traffic but never task results.
+// Tests of combining as a count (DESIGN.md §16): a combining profile
+// prices one wire message per distinct (sender machine, destination
+// machine, target, tag) tuple, folds nothing, and leaves task answers
+// equal to those of a profile that does not combine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <cstring>
+#include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "engine/message.h"
 #include "engine/sync_engine.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "tasks/bkhs.h"
 #include "tasks/bppr.h"
 #include "tasks/mssp.h"
+#include "tasks/pagerank.h"
 #include "test_util.h"
 
 namespace vcmp {
 namespace {
 
-using testing_util::RelaxedCluster;
-
-// --- Combiner fold semantics -----------------------------------------
-
-TEST(SumCombinerTest, MergeAddsValueAndMultiplicity) {
-  SumCombiner combiner;
-  Message into{7, 3, 1.5, 2.0};
-  const Message from{7, 3, 2.25, 3.0};
-  combiner.Merge(into, from);
-  EXPECT_EQ(into.value, 3.75);
-  EXPECT_EQ(into.multiplicity, 5.0);
-  EXPECT_EQ(into.target, 7u);
-  EXPECT_EQ(into.tag, 3u);
-  EXPECT_EQ(combiner.kind(), CombinerKind::kSum);
+const Graph& TestGraph() {
+  static const Graph& graph = *new Graph(
+      GenerateRmat({.num_vertices = 2000, .num_edges = 12000, .seed = 77}));
+  return graph;
 }
 
-TEST(SumCombinerTest, ExactFoldOnlyWhenPromised) {
-  EXPECT_FALSE(SumCombiner().exact_fold());
-  EXPECT_FALSE(SumCombiner(false).exact_fold());
-  EXPECT_TRUE(SumCombiner(true).exact_fold());
+const Partitioning& TestPartition() {
+  static const Partitioning& partition =
+      *new Partitioning(HashPartitioner().Partition(TestGraph(), 4));
+  return partition;
 }
 
-TEST(SumCombinerTest, FoldOrderPinsFloatingPointResult) {
-  // The engine's determinism contract is that a combined run folds in
-  // exactly the left-to-right order a receiver-side fold over the stable
-  // grouped inbox would use. These inputs make the order observable:
-  // (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) round differently.
-  const double a = 0.1, b = 0.2, c = 0.3;
-  ASSERT_NE((a + b) + c, a + (b + c));
+enum class Task { kBpprCounting, kBpprPerSource, kMssp, kBkhs, kPageRank };
 
-  SumCombiner combiner;
-  Message into{0, 0, a, 1.0};
-  combiner.Merge(into, Message{0, 0, b, 1.0});
-  combiner.Merge(into, Message{0, 0, c, 1.0});
-  EXPECT_EQ(into.value, (a + b) + c);
-
-  // Seeding the fold at the additive identity (how the unified combine
-  // table opens a fresh slot) must be a bitwise no-op for the sequence.
-  Message seeded{0, 0, 0.0, 0.0};
-  combiner.Merge(seeded, Message{0, 0, a, 1.0});
-  combiner.Merge(seeded, Message{0, 0, b, 1.0});
-  combiner.Merge(seeded, Message{0, 0, c, 1.0});
-  EXPECT_EQ(seeded.value, into.value);
-  EXPECT_EQ(seeded.multiplicity, into.multiplicity);
-}
-
-TEST(SumCombinerTest, ExactIntegerFoldIsSegmentationInvariant) {
-  // exact_fold()'s promise: folding any contiguous segmentation, then the
-  // segment results in order, is bit-identical to one left-to-right fold.
-  // This is what lets each compute shard pre-combine independently.
-  const std::vector<double> counts = {3, 17, 1, 64, 2, 9, 5, 40};
-  SumCombiner combiner(/*exact=*/true);
-  ASSERT_TRUE(combiner.exact_fold());
-
-  Message flat{0, 0, counts[0], 1.0};
-  for (size_t i = 1; i < counts.size(); ++i) {
-    combiner.Merge(flat, Message{0, 0, counts[i], 1.0});
+std::unique_ptr<VertexProgram> MakeProgram(Task task) {
+  const TaskContext context{&TestGraph(), &TestPartition(), 1.0, true};
+  const auto p2p = ProgramFlavor::kPointToPoint;
+  switch (task) {
+    case Task::kBpprCounting:
+      return std::make_unique<BpprCountingProgram>(context, 16,
+                                                   BpprTask::Params{}, 3);
+    case Task::kBpprPerSource:
+      return std::make_unique<BpprPerSourceProgram>(context, 4,
+                                                    BpprTask::Params{}, 3);
+    case Task::kMssp:
+      return std::make_unique<MsspProgram>(context, p2p, 8.0,
+                                           MsspTask::Params{}, 5);
+    case Task::kBkhs:
+      return std::make_unique<BkhsProgram>(context, p2p, 8.0,
+                                           BkhsTask::Params{}, 5);
+    case Task::kPageRank:
+      return std::make_unique<PageRankProgram>(
+          context, PageRankProgram::Params{.iterations = 10});
   }
-  for (size_t split = 1; split < counts.size(); ++split) {
-    Message left{0, 0, counts[0], 1.0};
-    for (size_t i = 1; i < split; ++i) {
-      combiner.Merge(left, Message{0, 0, counts[i], 1.0});
+  return nullptr;
+}
+
+/// The task's output, flattened: walk stops per vertex, distances per
+/// (sample, vertex), k-hop counts per sample, or ranks per vertex.
+std::vector<double> Answers(Task task, const VertexProgram& program) {
+  const VertexId n = TestGraph().NumVertices();
+  std::vector<double> out;
+  switch (task) {
+    case Task::kBpprCounting:
+      for (VertexId v = 0; v < n; ++v) {
+        out.push_back(static_cast<double>(
+            static_cast<const BpprCountingProgram&>(program).StoppedAt(v)));
+      }
+      break;
+    case Task::kBpprPerSource:
+      for (VertexId v = 0; v < n; ++v) {
+        out.push_back(static_cast<double>(
+            static_cast<const BpprPerSourceProgram&>(program).StoppedAt(v)));
+      }
+      break;
+    case Task::kMssp: {
+      const auto& mssp = static_cast<const MsspProgram&>(program);
+      for (uint32_t s = 0; s < mssp.num_samples(); ++s) {
+        for (VertexId v = 0; v < n; ++v) out.push_back(mssp.Distance(s, v));
+      }
+      break;
     }
-    Message right{0, 0, counts[split], 1.0};
-    for (size_t i = split + 1; i < counts.size(); ++i) {
-      combiner.Merge(right, Message{0, 0, counts[i], 1.0});
+    case Task::kBkhs: {
+      const auto& bkhs = static_cast<const BkhsProgram&>(program);
+      for (uint32_t s = 0; s < bkhs.num_samples(); ++s) {
+        out.push_back(static_cast<double>(bkhs.KHopCount(s)));
+      }
+      break;
     }
-    combiner.Merge(left, right);
-    EXPECT_EQ(left.value, flat.value) << "split at " << split;
-    EXPECT_EQ(left.multiplicity, flat.multiplicity);
+    case Task::kPageRank:
+      for (VertexId v = 0; v < n; ++v) {
+        out.push_back(static_cast<const PageRankProgram&>(program).Rank(v));
+      }
+      break;
   }
+  return out;
 }
 
-TEST(MinCombinerTest, KeepsMinimumAndSumsMultiplicity) {
-  MinCombiner combiner;
-  Message into{4, 1, 9.0, 2.0};
-  combiner.Merge(into, Message{4, 1, 3.0, 5.0});
-  EXPECT_EQ(into.value, 3.0);
-  EXPECT_EQ(into.multiplicity, 7.0);
-  combiner.Merge(into, Message{4, 1, 8.0, 1.0});
-  EXPECT_EQ(into.value, 3.0);  // Larger value never wins.
-  EXPECT_EQ(into.multiplicity, 8.0);
-  EXPECT_EQ(combiner.kind(), CombinerKind::kMin);
-}
-
-TEST(MinCombinerTest, StrictLessKeepsEarlierMessageOnTies) {
-  // The strict `<` makes the value fold associative: ties — including
-  // the ±0.0 pair, which compare equal — keep the earlier operand, so
-  // any fold tree picks the same representative.
-  MinCombiner combiner;
-  Message neg_zero_first{0, 0, -0.0, 1.0};
-  combiner.Merge(neg_zero_first, Message{0, 0, +0.0, 1.0});
-  EXPECT_TRUE(std::signbit(neg_zero_first.value));
-
-  Message pos_zero_first{0, 0, +0.0, 1.0};
-  combiner.Merge(pos_zero_first, Message{0, 0, -0.0, 1.0});
-  EXPECT_FALSE(std::signbit(pos_zero_first.value));
-
-  // Seeding a fresh fold slot at +inf (the min identity) is a no-op.
-  Message seeded{0, 0, std::numeric_limits<double>::infinity(), 0.0};
-  combiner.Merge(seeded, Message{0, 0, 5.0, 2.0});
-  EXPECT_EQ(seeded.value, 5.0);
-  EXPECT_EQ(seeded.multiplicity, 2.0);
-}
-
-TEST(MinCombinerTest, ExactFoldOnlyWhenPromised) {
-  EXPECT_FALSE(MinCombiner().exact_fold());
-  EXPECT_TRUE(MinCombiner(true).exact_fold());
-}
-
-// --- Engine-level combining on/off -----------------------------------
-
-/// Full bit-identity including wire traffic — for runs that must be
-/// indistinguishable (same combining setting, different thread counts or
-/// internal toggles).
-void ExpectRunsBitIdentical(const EngineResult& a, const EngineResult& b) {
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.num_rounds, b.num_rounds);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.total_wire_messages, b.total_wire_messages);
-  EXPECT_EQ(a.total_logical_sent, b.total_logical_sent);
-  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].messages, b.rounds[i].messages) << "round " << i;
-    EXPECT_EQ(a.rounds[i].cross_machine_bytes,
-              b.rounds[i].cross_machine_bytes)
-        << "round " << i;
+/// FNV-1a over the answers' bit patterns.
+uint64_t Digest(const std::vector<double>& values) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (double value : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    hash = (hash ^ bits) * 1099511628211ULL;
   }
+  return hash;
 }
 
-struct CombineRunOptions {
-  bool combining = false;
-  uint32_t threads = 1;
-  bool shard_precombine = true;
+struct Outcome {
+  EngineResult result;
+  std::vector<double> answers;
 };
 
-EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
+/// stat_scale 1: wire counts are raw tuple counts. One thread unless
+/// asked; the recorder below needs one.
+EngineResult RunEngine(const SystemProfile& profile, VertexProgram& program,
+                       uint32_t threads = 1) {
   EngineOptions options;
-  options.cluster = RelaxedCluster(machines);
-  options.profile = ProfileFor(SystemKind::kPregelPlus);
-  options.execution_threads = opts.threads;
+  options.cluster = testing_util::RelaxedCluster(4);
+  options.profile = profile;
+  options.execution_threads = threads;
   options.clamp_threads_to_hardware = false;
-  options.sender_combining = opts.combining;
-  options.shard_precombine = opts.shard_precombine;
-  return options;
+  auto result = SyncEngine(TestGraph(), TestPartition(), options).Run(program);
+  EXPECT_TRUE(result.ok());
+  return result.value_or(EngineResult{});
 }
 
-/// One MSSP batch (8 sampled sources -> tag universe 8, MinCombiner) on
-/// a fixed R-MAT graph. Returns the engine stats plus every per-sample
-/// distance, so result identity is checked at task-output granularity.
-std::pair<EngineResult, std::vector<uint32_t>> RunMssp(
-    const CombineRunOptions& opts) {
-  RmatParams rmat;
-  rmat.num_vertices = 2000;
-  rmat.num_edges = 12000;
-  rmat.seed = 77;
-  static const Graph& graph = *new Graph(GenerateRmat(rmat));
-  static const Partitioning& part =
-      *new Partitioning(HashPartitioner().Partition(graph, 4));
-  SyncEngine engine(graph, part, MakeOptions(opts, 4));
-  TaskContext context{&graph, &part, 1.0, opts.combining};
-  MsspProgram program(context, ProgramFlavor::kPointToPoint,
-                      /*workload=*/8.0, MsspTask::Params{}, /*seed=*/5);
-  auto result = engine.Run(program);
-  EXPECT_TRUE(result.ok());
-  std::vector<uint32_t> distances;
-  distances.reserve(static_cast<size_t>(program.num_samples()) *
-                    graph.NumVertices());
-  for (uint32_t sample = 0; sample < program.num_samples(); ++sample) {
-    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-      distances.push_back(program.Distance(sample, v));
+Outcome RunTask(const SystemProfile& profile, Task task,
+                uint32_t threads = 1) {
+  std::unique_ptr<VertexProgram> program = MakeProgram(task);
+  EngineResult result = RunEngine(profile, *program, threads);
+  return {std::move(result), Answers(task, *program)};
+}
+
+/// Runs a program and records, per round, every Send as the tuple a
+/// sender-side combiner merges on — (machine of the computing vertex,
+/// machine of the target, target, tag) — plus the summed multiplicity.
+/// Every sink call is forwarded unchanged. The recorder is not locked,
+/// so it needs the one-thread engine.
+class RecordingProgram : public VertexProgram {
+ public:
+  using Key = std::tuple<uint32_t, uint32_t, VertexId, uint32_t>;
+
+  explicit RecordingProgram(VertexProgram& inner) : inner_(inner) {}
+
+  void Compute(VertexId v, std::span<const Message> inbox,
+               MessageSink& sink) override {
+    Sink recorder(*this, v, sink);
+    inner_.Compute(v, inbox, recorder);
+  }
+  bool UsesComputeRun() const override { return inner_.UsesComputeRun(); }
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override {
+    Sink recorder(*this, v, sink);
+    inner_.ComputeRun(v, run, recorder);
+  }
+  bool ShouldTerminate(uint64_t rounds_completed) const override {
+    return inner_.ShouldTerminate(rounds_completed);
+  }
+  bool TerminateOnAggregate(double aggregate_sum) const override {
+    return inner_.TerminateOnAggregate(aggregate_sum);
+  }
+  double StateBytes(uint32_t machine) const override {
+    return inner_.StateBytes(machine);
+  }
+  double ResidualBytes(uint32_t machine) const override {
+    return inner_.ResidualBytes(machine);
+  }
+  bool combinable() const override { return inner_.combinable(); }
+
+  /// Distinct send tuples of round r (0 past the last sending round).
+  double DistinctKeys(size_t r) const {
+    return r < keys_.size() ? static_cast<double>(keys_[r].size()) : 0.0;
+  }
+  double Logical(size_t r) const {
+    return r < logical_.size() ? logical_[r] : 0.0;
+  }
+  /// Distinct tuples machine m sent in round r, and received in round r
+  /// (sent to it in round r - 1).
+  double Sent(size_t r, uint32_t m) const { return Count(r, m, false); }
+  double Received(size_t r, uint32_t m) const {
+    return r == 0 ? 0.0 : Count(r - 1, m, true);
+  }
+
+ private:
+  class Sink : public MessageSink {
+   public:
+    Sink(RecordingProgram& owner, VertexId from, MessageSink& inner)
+        : owner_(owner), from_(from), inner_(inner) {}
+    void Send(VertexId target, uint32_t tag, double value,
+              double multiplicity) override {
+      owner_.Record(from_, target, tag, multiplicity, inner_.round());
+      inner_.Send(target, tag, value, multiplicity);
+    }
+    void Broadcast(VertexId from, uint32_t tag, double value,
+                   double multiplicity) override {
+      for (VertexId u : TestGraph().Neighbors(from)) {
+        owner_.Record(from_, u, tag, multiplicity, inner_.round());
+      }
+      inner_.Broadcast(from, tag, value, multiplicity);
+    }
+    void AddComputeUnits(double units) override {
+      inner_.AddComputeUnits(units);
+    }
+    void Aggregate(double value) override { inner_.Aggregate(value); }
+    void AddResidualBytes(double bytes) override {
+      inner_.AddResidualBytes(bytes);
+    }
+    uint64_t round() const override { return inner_.round(); }
+    Rng& rng() override { return inner_.rng(); }
+
+   private:
+    RecordingProgram& owner_;
+    const VertexId from_;
+    MessageSink& inner_;
+  };
+
+  void Record(VertexId from, VertexId target, uint32_t tag,
+              double multiplicity, uint64_t round) {
+    if (keys_.size() <= round) {
+      keys_.resize(round + 1);
+      logical_.resize(round + 1, 0.0);
+    }
+    const Partitioning& partition = TestPartition();
+    keys_[round].insert(
+        {partition.MachineOf(from), partition.MachineOf(target), target, tag});
+    logical_[round] += multiplicity;
+  }
+
+  double Count(size_t r, uint32_t m, bool to) const {
+    double count = 0.0;
+    if (r >= keys_.size()) return count;
+    for (const Key& key : keys_[r]) {
+      count += (to ? std::get<1>(key) : std::get<0>(key)) == m ? 1.0 : 0.0;
+    }
+    return count;
+  }
+
+  VertexProgram& inner_;
+  std::vector<std::set<Key>> keys_;
+  std::vector<double> logical_;
+};
+
+TEST(CombiningCountTest, WireMessagesEqualDistinctSendTuples) {
+  // Bounded tags (MSSP sample indices) and vertex-id tags (per-source
+  // BPPR) under GraphLab, which combines.
+  const SystemProfile& graphlab = ProfileFor(SystemKind::kGraphLab);
+  for (Task task : {Task::kMssp, Task::kBpprPerSource}) {
+    SCOPED_TRACE(static_cast<int>(task));
+    std::unique_ptr<VertexProgram> inner = MakeProgram(task);
+    RecordingProgram recorder(*inner);
+    const EngineResult result = RunEngine(graphlab, recorder);
+    EXPECT_GT(result.CombinedRatio(), 1.0);  // Some sends did merge.
+    for (size_t r = 0; r < result.rounds.size(); ++r) {
+      EXPECT_EQ(result.rounds[r].wire_messages, recorder.DistinctKeys(r))
+          << "round " << r;
+      // A machine buffers the larger of its wire sends and its wire
+      // receipts.
+      double peak = 0.0;
+      for (uint32_t m = 0; m < TestPartition().num_machines; ++m) {
+        peak = std::max(peak, std::max(recorder.Received(r, m),
+                                       recorder.Sent(r, m)) *
+                                  graphlab.bytes_per_message *
+                                  graphlab.message_memory_overhead);
+      }
+      EXPECT_EQ(result.rounds[r].max_buffered_bytes, peak) << "round " << r;
     }
   }
-  return {result.value_or(EngineResult{}), std::move(distances)};
 }
 
-/// One stochastic BPPR counting batch (SumCombiner over walk counts).
-/// Random-walk forwarding is the hardest determinism case: any change in
-/// fold order that leaked into values would move TotalStopped().
-std::pair<EngineResult, uint64_t> RunBpprCounting(
-    const CombineRunOptions& opts) {
-  RmatParams rmat;
-  rmat.num_vertices = 2000;
-  rmat.num_edges = 12000;
-  rmat.seed = 41;
-  static const Graph& graph = *new Graph(GenerateRmat(rmat));
-  static const Partitioning& part =
-      *new Partitioning(HashPartitioner().Partition(graph, 4));
-  SyncEngine engine(graph, part, MakeOptions(opts, 4));
-  TaskContext context{&graph, &part, 1.0, opts.combining};
-  BpprCountingProgram program(context, /*walks=*/64, {}, /*seed=*/3);
-  auto result = engine.Run(program);
-  EXPECT_TRUE(result.ok());
-  return {result.value_or(EngineResult{}), program.TotalStopped()};
+TEST(CombiningCountTest, NonCombiningWireEqualsLogical) {
+  std::unique_ptr<VertexProgram> inner = MakeProgram(Task::kMssp);
+  RecordingProgram recorder(*inner);
+  const EngineResult result =
+      RunEngine(ProfileFor(SystemKind::kPregelPlus), recorder);
+  EXPECT_EQ(result.CombinedRatio(), 1.0);
+  for (size_t r = 0; r < result.rounds.size(); ++r) {
+    EXPECT_EQ(result.rounds[r].wire_messages, recorder.Logical(r))
+        << "round " << r;
+  }
+}
+
+TEST(CombiningCountTest, AnswersDoNotDependOnTheProfile) {
+  // PageRank's real-valued sums are what a per-sender fold reassociates.
+  for (Task task :
+       {Task::kBpprCounting, Task::kMssp, Task::kBkhs, Task::kPageRank}) {
+    SCOPED_TRACE(static_cast<int>(task));
+    EXPECT_EQ(RunTask(ProfileFor(SystemKind::kGraphLab), task).answers,
+              RunTask(ProfileFor(SystemKind::kPregelPlus), task).answers);
+  }
+}
+
+SystemProfile PregelPlus(bool combining) {
+  SystemProfile profile = ProfileFor(SystemKind::kPregelPlus);
+  profile.combines_messages = combining;
+  return profile;
 }
 
 TEST(SenderCombiningTest, MsspResultsIdenticalWithAndWithoutCombining) {
-  auto [off, off_dist] = RunMssp({.combining = false});
-  auto [on, on_dist] = RunMssp({.combining = true});
+  const Outcome off = RunTask(PregelPlus(false), Task::kMssp);
+  const Outcome on = RunTask(PregelPlus(true), Task::kMssp);
   // Combining changes the wire, never the task result or message flow.
-  EXPECT_EQ(off_dist, on_dist);
-  EXPECT_EQ(off.num_rounds, on.num_rounds);
-  EXPECT_EQ(off.total_messages, on.total_messages);
-  EXPECT_EQ(off.total_logical_sent, on.total_logical_sent);
-  // The off run sends one wire message per logical unit; the on run
-  // must actually merge some (a 2000-vertex R-MAT has many vertices
-  // reached from several frontier neighbours in the same round).
-  EXPECT_EQ(off.CombinedRatio(), 1.0);
-  EXPECT_GT(on.CombinedRatio(), 1.0);
-  EXPECT_LT(on.total_wire_messages, off.total_wire_messages);
-}
-
-TEST(SenderCombiningTest, MsspCombinedRunBitIdenticalAcrossThreads) {
-  auto [serial, serial_dist] = RunMssp({.combining = true, .threads = 1});
-  for (uint32_t threads : {2u, 8u}) {
-    auto [threaded, threaded_dist] =
-        RunMssp({.combining = true, .threads = threads});
-    ExpectRunsBitIdentical(serial, threaded);
-    EXPECT_EQ(serial_dist, threaded_dist);
-  }
-}
-
-TEST(SenderCombiningTest, MsspInvariantToShardPrecombine) {
-  // shard_precombine moves folding earlier (into the compute shards); it
-  // is a pure performance toggle — every statistic must be bit-identical.
-  auto [base, base_dist] = RunMssp({.combining = true, .threads = 8});
-  for (bool precombine : {false, true}) {
-    auto [run, dist] = RunMssp(
-        {.combining = true, .threads = 8, .shard_precombine = precombine});
-    ExpectRunsBitIdentical(base, run);
-    EXPECT_EQ(base_dist, dist);
-  }
+  EXPECT_EQ(off.answers, on.answers);
+  EXPECT_EQ(off.result.num_rounds, on.result.num_rounds);
+  EXPECT_EQ(off.result.total_messages, on.result.total_messages);
+  EXPECT_EQ(off.result.total_logical_sent, on.result.total_logical_sent);
+  EXPECT_EQ(off.result.CombinedRatio(), 1.0);
+  EXPECT_GT(on.result.CombinedRatio(), 1.0);
+  EXPECT_LT(on.result.total_wire_messages, off.result.total_wire_messages);
 }
 
 TEST(SenderCombiningTest, StochasticWalkCountsSurviveCombining) {
-  auto [off, off_stopped] = RunBpprCounting({.combining = false});
-  EXPECT_GT(off_stopped, 0u);
+  // Random-walk forwarding: any leak of the count into values would move
+  // where walks stop.
+  const Outcome off = RunTask(PregelPlus(false), Task::kBpprCounting);
+  double stopped = 0.0;
+  for (double count : off.answers) stopped += count;
+  EXPECT_GT(stopped, 0.0);
   for (uint32_t threads : {1u, 8u}) {
-    auto [on, on_stopped] =
-        RunBpprCounting({.combining = true, .threads = threads});
-    EXPECT_EQ(on_stopped, off_stopped);
-    EXPECT_EQ(on.num_rounds, off.num_rounds);
-    EXPECT_EQ(on.total_logical_sent, off.total_logical_sent);
-    EXPECT_GT(on.CombinedRatio(), 1.0);
+    SCOPED_TRACE(threads);
+    const Outcome on = RunTask(PregelPlus(true), Task::kBpprCounting, threads);
+    EXPECT_EQ(on.answers, off.answers);
+    EXPECT_EQ(on.result.num_rounds, off.result.num_rounds);
+    EXPECT_EQ(on.result.total_logical_sent, off.result.total_logical_sent);
+    EXPECT_GT(on.result.CombinedRatio(), 1.0);
+  }
+}
+
+/// Numbers the engine produced when it still folded messages at the
+/// sender, as hex floats; counting keys must reproduce each bit for bit.
+/// `answers` is Digest() of the task output. Only GraphLab PageRank's
+/// digest moved (from 0x728d34bcd6cfaaae): its ranks now equal the
+/// Pregel+ run's.
+struct Recorded {
+  SystemKind system;  // Run with combines_messages set.
+  Task task;
+  double seconds, total_messages, total_wire_messages, peak_buffered_bytes;
+  uint64_t answers;
+  std::vector<double> cross_machine_bytes;  // Per round.
+};
+
+TEST(CombiningCountTest, ReproducesTheSenderSideFoldsNumbers) {
+  const std::vector<Recorded> recorded = {
+      {SystemKind::kGraphLab, Task::kBpprCounting, 0x1.9fd5cdb3e31e6p-1,
+       0x1.6845p+16, 0x1.c5a8p+14, 0x1.c9cccccccccccp+14,
+       0xf7b9a7edd7920943ULL,
+       {0x1.49dp+15, 0x1.af4p+15, 0x1.7eep+15, 0x1.6e3p+15, 0x1.461p+15,
+        0x1.2a2p+15, 0x1.0ep+15,  0x1.dcap+14, 0x1.b36p+14, 0x1.73ap+14,
+        0x1.47p+14,  0x1.19ap+14, 0x1.e84p+13, 0x1.9bcp+13, 0x1.4b8p+13,
+        0x1.11cp+13, 0x1.de8p+12, 0x1.8a8p+12, 0x1.44p+12,  0x1.11p+12,
+        0x1.a1p+11,  0x1.56p+11,  0x1.32p+11,  0x1.cep+10,  0x1.92p+10,
+        0x1.62p+10,  0x1.32p+10,  0x1.bcp+9,   0x1.5p+9,    0x1.c8p+8,
+        0x1.5p+8,    0x1.ep+7,    0x1.bp+7,    0x1.8p+7,    0x1.8p+6,
+        0x1.ep+6,    0x1.5p+7,    0x1.8p+6,    0x1.8p+6,    0x1.2p+6,
+        0x1.8p+5,    0x1.2p+6,    0x1.8p+4,    0x1.8p+5,    0x1.8p+4,
+        0x1.8p+5,    0x0p+0,      0x0p+0}},
+      {SystemKind::kGraphLab, Task::kMssp, 0x1.04c9dfd1615c1p-3,
+       0x1.c848p+16, 0x1.1ce2p+15, 0x1.6e84p+17, 0xed8a658bb1647183ULL,
+       {0x1.bp+8, 0x1.581p+15, 0x1.50f6p+18, 0x1.e2f4p+17, 0x1.086p+14,
+        0x1.ep+6, 0x0p+0}},
+      {SystemKind::kGraphLab, Task::kBkhs, 0x1.9f3f34335f723p-5,
+       0x1.528p+11, 0x1.34cp+11, 0x1.7c19999999999p+14,
+       0x3072957eaf8e51e3ULL,
+       {0x1.bp+8, 0x1.581p+15, 0x0p+0}},
+      {SystemKind::kGraphLab, Task::kPageRank, 0x1.90d2539d70979p-3,
+       0x1.7c5p+17, 0x1.2f84p+15, 0x1.189ccccccccccp+15,
+       0x40a28bb726b2551bULL,
+       {0x1.0fc8p+16, 0x1.0fc8p+16, 0x1.0fc8p+16, 0x1.0fc8p+16,
+        0x1.0fc8p+16, 0x1.0fc8p+16, 0x1.0fc8p+16, 0x1.0fc8p+16,
+        0x1.0fc8p+16, 0x1.0fc8p+16, 0x0p+0}},
+      // Pregel+ with a combiner.
+      {SystemKind::kPregelPlus, Task::kMssp, 0x1.25c9c77a23a6cp-3,
+       0x1.c848p+16, 0x1.1ce2p+15, 0x1.05ccp+17, 0xed8a658bb1647183ULL,
+       {0x1.68p+8, 0x1.1eb8p+15, 0x1.18cdp+18, 0x1.9276p+17, 0x1.b8ap+13,
+        0x1.9p+6, 0x0p+0}},
+  };
+  for (const Recorded& want : recorded) {
+    SCOPED_TRACE(static_cast<int>(want.task));
+    SystemProfile profile = ProfileFor(want.system);
+    profile.combines_messages = true;
+    const Outcome got = RunTask(profile, want.task);
+    EXPECT_EQ(got.result.seconds, want.seconds);
+    EXPECT_EQ(got.result.total_messages, want.total_messages);
+    EXPECT_EQ(got.result.total_wire_messages, want.total_wire_messages);
+    EXPECT_EQ(got.result.peak_buffered_bytes, want.peak_buffered_bytes);
+    EXPECT_EQ(Digest(got.answers), want.answers);
+    std::vector<double> cross;
+    for (const RoundStats& round : got.result.rounds) {
+      cross.push_back(round.cross_machine_bytes);
+    }
+    EXPECT_EQ(cross, want.cross_machine_bytes);
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests of the engine's parallel-execution machinery: the thread pool,
-// the inbox grouper (against a stable-sort oracle), the flat combiner
-// index, and the regression that engine results are bit-identical for
+// the inbox grouper (against a stable-sort oracle), the flat wire-key
+// set, and the regression that engine results are bit-identical for
 // every thread count (the determinism contract every perf change must
 // preserve).
 
@@ -142,7 +142,7 @@ void ExpectGroupingMatchesStableSort(const std::vector<Message>& inbox,
   }
 
   Worker worker;
-  worker.Reset(1);
+  worker.Reset();
   if (numbering != nullptr) {
     worker.SetLocalNumbering(numbering->local_index.data(),
                              numbering->locals);
@@ -304,71 +304,48 @@ TEST(RadixGroupingTest, DenseCountingPathMatchesStableSort) {
   ExpectGroupingMatchesStableSort(inbox, &numbering, /*segments=*/128);
 }
 
-// --- Flat combiner index ---------------------------------------------
+// --- Flat wire-key set ----------------------------------------------
 
 TEST(CombineIndexTest, MatchesUnorderedMapOracle) {
   CombineIndex index;
-  std::unordered_map<uint64_t, size_t> oracle;
+  std::unordered_map<uint64_t, size_t> seen;  // Key -> occurrences.
   Rng rng(31);
   for (size_t i = 0; i < 20000; ++i) {
-    // Small key space forces plenty of repeats (combine hits).
-    uint64_t key = rng.NextBounded(4096);
-    bool inserted = false;
-    size_t value = index.FindOrInsert(key, i, &inserted);
-    auto [it, fresh] = oracle.try_emplace(key, i);
-    EXPECT_EQ(inserted, fresh);
-    EXPECT_EQ(value, it->second);
+    // Small key space forces plenty of repeats.
+    const uint64_t key = rng.NextBounded(4096);
+    EXPECT_EQ(index.Insert(key), seen[key]++ == 0);
   }
-  EXPECT_EQ(index.size(), oracle.size());
+  EXPECT_EQ(index.size(), seen.size());
 }
 
 TEST(CombineIndexTest, CollidingKeysStayDistinct) {
   // Keys equal modulo any power-of-two table size differ only in high
   // bits; the multiplicative hash must still separate them, and linear
-  // probing must keep each key's own value.
+  // probing must keep each key.
   CombineIndex index;
-  std::vector<uint64_t> keys;
-  for (uint64_t i = 0; i < 200; ++i) keys.push_back(i << 32);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    bool inserted = false;
-    EXPECT_EQ(index.FindOrInsert(keys[i], i, &inserted), i);
-    EXPECT_TRUE(inserted);
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    bool inserted = true;
-    EXPECT_EQ(index.FindOrInsert(keys[i], 9999, &inserted), i);
-    EXPECT_FALSE(inserted);
-  }
+  for (uint64_t i = 0; i < 200; ++i) EXPECT_TRUE(index.Insert(i << 32));
+  for (uint64_t i = 0; i < 200; ++i) EXPECT_FALSE(index.Insert(i << 32));
+  EXPECT_EQ(index.size(), 200u);
 }
 
 TEST(CombineIndexTest, ClearForgetsEntriesButKeepsCapacity) {
   CombineIndex index;
-  for (uint64_t key = 0; key < 1000; ++key) {
-    bool inserted = false;
-    index.FindOrInsert(key, key, &inserted);
-  }
+  for (uint64_t key = 0; key < 1000; ++key) index.Insert(key);
   size_t capacity = index.capacity();
   EXPECT_GE(capacity, 1000u);
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.capacity(), capacity);  // Epoch clear, no deallocation.
   // Stale slots must not resurrect: the same keys re-insert fresh.
-  for (uint64_t key = 0; key < 1000; ++key) {
-    bool inserted = false;
-    EXPECT_EQ(index.FindOrInsert(key, key + 7, &inserted), key + 7);
-    EXPECT_TRUE(inserted);
-  }
+  for (uint64_t key = 0; key < 1000; ++key) EXPECT_TRUE(index.Insert(key));
 }
 
 TEST(CombineIndexTest, ManyClearCyclesBehaveLikeFreshTables) {
   CombineIndex index;
   for (int cycle = 0; cycle < 50; ++cycle) {
     for (uint64_t key = 0; key < 64; ++key) {
-      bool inserted = false;
-      size_t value =
-          index.FindOrInsert(key, 100 * cycle + key, &inserted);
-      EXPECT_TRUE(inserted);
-      EXPECT_EQ(value, 100u * cycle + key);
+      EXPECT_TRUE(index.Insert(100 * cycle + key));
+      EXPECT_FALSE(index.Insert(100 * cycle + key));
     }
     EXPECT_EQ(index.size(), 64u);
     index.Clear();
@@ -379,27 +356,13 @@ TEST(CombineIndexTest, ManyClearCyclesBehaveLikeFreshTables) {
 
 TEST(WorkerTest, ResetRetainsInboxCapacity) {
   Worker worker;
-  worker.Reset(2);
+  worker.Reset();
   worker.inbox().Reserve(10000);
   size_t capacity = worker.inbox().capacity();
   EXPECT_GE(capacity, 10000u);
-  worker.Reset(2);
+  worker.Reset();
   EXPECT_TRUE(worker.inbox().empty());
   EXPECT_GE(worker.inbox().capacity(), capacity);
-}
-
-TEST(WorkerTest, DrainRetainsOutboxCapacity) {
-  Worker worker;
-  worker.Reset(1);
-  worker.SetCombiner(nullptr);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 1000; ++i) {
-      worker.Stage(0, static_cast<VertexId>(i), 0, 1.0, 1.0);
-    }
-    MessageBlock dest;
-    worker.Drain(0, &dest);
-    EXPECT_EQ(dest.size(), 1000u);
-  }
 }
 
 // --- Engine determinism across thread counts -------------------------
@@ -472,13 +435,16 @@ TEST_P(EngineDeterminismTest, ResultsIdenticalForAnyThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, EngineDeterminismTest,
-    ::testing::Values(SystemKind::kPregelPlus,        // Combining.
+    ::testing::Values(SystemKind::kPregelPlus,        // Plain.
                       SystemKind::kPregelPlusMirror,  // Broadcast+mirrors.
-                      SystemKind::kGraphD),           // Out-of-core.
+                      SystemKind::kGraphD,            // Out-of-core.
+                      SystemKind::kGraphLab),         // Combining.
     [](const ::testing::TestParamInfo<SystemKind>& info) {
       switch (info.param) {
         case SystemKind::kPregelPlus:
           return std::string("PregelPlus");
+        case SystemKind::kGraphLab:
+          return std::string("GraphLab");
         case SystemKind::kPregelPlusMirror:
           return std::string("PregelPlusMirror");
         case SystemKind::kGraphD:
@@ -518,8 +484,8 @@ TEST(EngineGoldenTest, EmptyInboxRoundTerminatesCleanly) {
 }
 
 TEST(EngineGoldenTest, SingleMachineClusterUsesSwapDelivery) {
-  // One machine means every round's delivery has exactly one sender —
-  // the O(1) SwapOutbox path. PageRank must still conserve rank mass,
+  // One machine means every round's inbox has exactly one sender, and
+  // every message stays local. PageRank must still conserve rank mass,
   // identically for any thread count.
   Graph ring = GenerateRing(128, 2);
   Partitioning part = HashPartitioner().Partition(ring, 1);
@@ -634,7 +600,7 @@ class ForceFallback : public VertexProgram {
   double ResidualBytes(uint32_t machine) const override {
     return inner_.ResidualBytes(machine);
   }
-  const Combiner* combiner() const override { return inner_.combiner(); }
+  bool combinable() const override { return inner_.combinable(); }
 
  private:
   VertexProgram& inner_;

@@ -215,20 +215,22 @@ void ExpectBitIdentical(const EngineResult& a, const EngineResult& b) {
 TEST(ShardDeterminismTest, SkewedInboxIdenticalAcrossThreadsShardsStealing) {
   // The full matrix from the determinism contract: every thread count in
   // {1, 2, 4, 8} × every shard count in {1, 4, 64} × stealing on/off must
-  // reproduce the single-thread single-shard run bit for bit.
-  const EngineResult baseline =
-      RunSkewedBatch(SystemKind::kPregelPlus, 1, 1, false);
-  EXPECT_GT(baseline.num_rounds, 1u);
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    for (uint32_t shards : {1u, 4u, 64u}) {
-      for (bool stealing : {false, true}) {
-        if (threads == 1 && shards == 1 && !stealing) continue;
-        SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                        << " shards=" << shards
-                                        << " stealing=" << stealing);
-        ExpectBitIdentical(
-            baseline,
-            RunSkewedBatch(SystemKind::kPregelPlus, threads, shards, stealing));
+  // reproduce the single-thread single-shard run bit for bit — for the
+  // plain profile and for GraphLab, whose wire count comes from the
+  // per-(sender, destination) key tally.
+  for (SystemKind system : {SystemKind::kPregelPlus, SystemKind::kGraphLab}) {
+    const EngineResult baseline = RunSkewedBatch(system, 1, 1, false);
+    EXPECT_GT(baseline.num_rounds, 1u);
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      for (uint32_t shards : {1u, 4u, 64u}) {
+        for (bool stealing : {false, true}) {
+          if (threads == 1 && shards == 1 && !stealing) continue;
+          SCOPED_TRACE(testing::Message()
+                       << ProfileFor(system).name << " threads=" << threads
+                       << " shards=" << shards << " stealing=" << stealing);
+          ExpectBitIdentical(
+              baseline, RunSkewedBatch(system, threads, shards, stealing));
+        }
       }
     }
   }

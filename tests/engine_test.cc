@@ -14,93 +14,9 @@ namespace {
 
 using testing_util::RelaxedCluster;
 
-TEST(WorkerTest, StagesAndDrains) {
-  Worker worker;
-  worker.Reset(2);
-  worker.SetCombiner(nullptr);
-  EXPECT_TRUE(worker.Stage(0, 1, 0, 1.0, 1.0));
-  EXPECT_TRUE(worker.Stage(1, 2, 0, 1.0, 1.0));
-  MessageBlock dest;
-  worker.Drain(0, &dest);
-  ASSERT_EQ(dest.size(), 1u);
-  EXPECT_EQ(dest.targets()[0], 1u);
-  dest.Clear();
-  worker.Drain(0, &dest);
-  EXPECT_TRUE(dest.empty());  // Drain clears.
-}
-
-TEST(WorkerTest, CombinerMergesSameTargetAndTag) {
-  Worker worker;
-  worker.Reset(1);
-  SumCombiner combiner;
-  worker.SetCombiner(&combiner);
-  EXPECT_TRUE(worker.Stage(0, 5, 1, 2.0, 2.0));
-  EXPECT_FALSE(worker.Stage(0, 5, 1, 3.0, 3.0));
-  EXPECT_TRUE(worker.Stage(0, 5, 2, 1.0, 1.0));
-  MessageBlock dest;
-  worker.Drain(0, &dest);
-  ASSERT_EQ(dest.size(), 2u);
-  EXPECT_DOUBLE_EQ(dest.values()[0], 5.0);
-  EXPECT_DOUBLE_EQ(dest.multiplicities()[0], 5.0);
-}
-
-/// Keeps the largest value: not expressible as the inlined kSum/kMin
-/// folds, so staging must fall back to the virtual Merge (kCustom).
-class MaxCombiner : public Combiner {
- public:
-  void Merge(Message& into, const Message& from) const override {
-    if (from.value > into.value) into.value = from.value;
-    into.multiplicity += from.multiplicity;
-  }
-};
-
-TEST(WorkerTest, CustomCombinerUsesVirtualMerge) {
-  Worker worker;
-  worker.Reset(1);
-  MaxCombiner combiner;
-  ASSERT_EQ(combiner.kind(), CombinerKind::kCustom);
-  worker.SetCombiner(&combiner);
-  EXPECT_TRUE(worker.Stage(0, 7, 0, 2.0, 1.0));
-  EXPECT_FALSE(worker.Stage(0, 7, 0, 5.0, 1.0));
-  EXPECT_FALSE(worker.Stage(0, 7, 0, 3.0, 1.0));
-  MessageBlock dest;
-  worker.Drain(0, &dest);
-  ASSERT_EQ(dest.size(), 1u);
-  EXPECT_DOUBLE_EQ(dest.values()[0], 5.0);
-  EXPECT_DOUBLE_EQ(dest.multiplicities()[0], 3.0);
-}
-
-TEST(WorkerTest, SwapOutboxDeliversAndRecyclesCapacity) {
-  Worker worker;
-  worker.Reset(1);
-  worker.SetCombiner(nullptr);
-  for (uint32_t i = 0; i < 100; ++i) {
-    worker.Stage(0, i, 0, 1.0, 1.0);
-  }
-  MessageBlock inbox;
-  worker.SwapOutbox(0, &inbox);
-  EXPECT_EQ(inbox.size(), 100u);
-  EXPECT_EQ(worker.OutboxSize(0), 0u);
-  // Next round: the swapped-out buffer's capacity serves the outbox.
-  const size_t recycled = 100;
-  worker.Stage(0, 1, 0, 1.0, 1.0);
-  EXPECT_GE(inbox.capacity(), recycled);
-  EXPECT_EQ(worker.OutboxSize(0), 1u);
-}
-
-TEST(WorkerTest, MinCombinerKeepsSmallest) {
-  Message into{1, 0, 7.0, 1.0};
-  MinCombiner combiner;
-  combiner.Merge(into, Message{1, 0, 3.0, 1.0});
-  EXPECT_DOUBLE_EQ(into.value, 3.0);
-  EXPECT_DOUBLE_EQ(into.multiplicity, 2.0);
-  combiner.Merge(into, Message{1, 0, 9.0, 1.0});
-  EXPECT_DOUBLE_EQ(into.value, 3.0);
-}
-
 TEST(WorkerTest, GroupInboxSortsByTargetThenTag) {
   Worker worker;
-  worker.Reset(1);
+  worker.Reset();
   worker.inbox().PushBack(3, 1, 10.0, 1.0);
   worker.inbox().PushBack(1, 2, 20.0, 1.0);
   worker.inbox().PushBack(3, 0, 30.0, 1.0);

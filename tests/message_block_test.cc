@@ -37,17 +37,6 @@ TEST(MessageBlockTest, PushBackStoresColumns) {
   EXPECT_DOUBLE_EQ(second.multiplicity, 4.0);
 }
 
-TEST(MessageBlockTest, SetOverwritesOneRow) {
-  MessageBlock block;
-  block.PushBack(1, 0, 1.0, 1.0);
-  block.PushBack(2, 0, 2.0, 1.0);
-  block.Set(0, Message{5, 7, 9.0, 3.0});
-  EXPECT_EQ(block.At(0).target, 5u);
-  EXPECT_EQ(block.At(0).tag, 7u);
-  EXPECT_DOUBLE_EQ(block.At(0).value, 9.0);
-  EXPECT_EQ(block.At(1).target, 2u);  // Neighbouring row untouched.
-}
-
 TEST(MessageBlockTest, GrowthPreservesContents) {
   MessageBlock block;
   for (uint32_t i = 0; i < 1000; ++i) {
@@ -79,33 +68,6 @@ TEST(MessageBlockTest, ReserveGrowsCapacityNotSize) {
   const size_t capacity = block.capacity();
   block.Reserve(10);  // Never shrinks.
   EXPECT_EQ(block.capacity(), capacity);
-}
-
-TEST(MessageBlockTest, AppendConcatenatesColumns) {
-  MessageBlock a;
-  a.PushBack(1, 0, 1.0, 1.0);
-  MessageBlock b;
-  b.PushBack(2, 1, 2.0, 2.0);
-  b.PushBack(3, 2, 3.0, 3.0);
-  a.Append(b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(b.size(), 2u);  // Source is untouched.
-  EXPECT_EQ(a.At(1).target, 2u);
-  EXPECT_EQ(a.At(2).tag, 2u);
-  EXPECT_DOUBLE_EQ(a.At(2).multiplicity, 3.0);
-}
-
-TEST(MessageBlockTest, SwapExchangesStorageInConstantTime) {
-  MessageBlock a;
-  a.PushBack(1, 0, 1.0, 1.0);
-  MessageBlock b;
-  for (uint32_t i = 0; i < 100; ++i) b.PushBack(i, 0, 2.0, 1.0);
-  const double* b_values = b.values();
-  a.Swap(b);
-  EXPECT_EQ(a.size(), 100u);
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_EQ(a.values(), b_values);  // Pointer exchange, no copy.
-  EXPECT_DOUBLE_EQ(b.At(0).value, 1.0);
 }
 
 TEST(MessageBlockTest, MoveTransfersStorage) {
