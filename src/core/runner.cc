@@ -157,10 +157,9 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
     }
 
     // Residual memory of this batch persists into the next ones: results
-    // the program recorded through MessageSink::AddResidualBytes (folded
-    // per machine by the engine) plus any program-side accounting.
+    // the program recorded through MessageSink::AddResidualBytes, folded
+    // per machine by the engine.
     for (uint32_t machine = 0; machine < carryover.size(); ++machine) {
-      carryover[machine] += program->ResidualBytes(machine);
       if (machine < result.residual_bytes_per_machine.size()) {
         carryover[machine] += result.residual_bytes_per_machine[machine];
       }

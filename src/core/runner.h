@@ -46,7 +46,7 @@ struct RunnerOptions {
   uint64_t max_rounds = 4096;
   /// Compute/delivery threads per engine run (results are thread-count
   /// invariant; see EngineOptions::execution_threads). 0 = auto: one
-  /// thread per hardware core, capped by the machine count.
+  /// thread per hardware core.
   uint32_t execution_threads = 0;
   /// Passed through to EngineOptions::clamp_threads_to_hardware. True
   /// (the default) silently caps execution_threads at the hardware

@@ -67,7 +67,6 @@ Result<WholeGraphReport> WholeGraphRunner::Run(
       report.overloaded = true;
       break;
     }
-    carryover[0] += program->ResidualBytes(0);
     if (!result.residual_bytes_per_machine.empty()) {
       carryover[0] += result.residual_bytes_per_machine[0];
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -274,14 +273,6 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
   for (GasShardLog& log : shard_logs) {
     log.Configure(options_.seed, ctx.query_id);
   }
-  const auto parallel_shards = [&](uint32_t count,
-                                   const std::function<void(uint32_t)>& fn) {
-    if (options_.enable_work_stealing) {
-      pool.ParallelForStealable(count, fn);
-    } else {
-      pool.ParallelFor(count, fn);
-    }
-  };
 
   Tracer* const tracer = options_.tracer;
   uint32_t trace_track = options_.trace_track;
@@ -341,7 +332,7 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
         return static_cast<size_t>(static_cast<uint64_t>(frontier_size) *
                                    s / shards);
       };
-      parallel_shards(shards, [&](uint32_t s) {
+      pool.ParallelForStealable(shards, [&](uint32_t s) {
         GasShardLog& log = shard_logs[s];
         log.BeginPass(pass);
         const size_t begin = shard_begin(s);
@@ -409,9 +400,7 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
       load.compute_units = context.compute_units()[m] * scale;
       load.state_bytes =
           (graph_share_bytes_[m] + program.StateBytes(m)) * scale;
-      load.residual_bytes = (program.ResidualBytes(m) +
-                             context.residual_ledger()[m]) *
-                            scale;
+      load.residual_bytes = context.residual_ledger()[m] * scale;
       // vcmp:deterministic-reduction(slot m is owned by shard m; one add per pass in fixed pass order, thread-count invariant)
       cross_bytes_per_machine[m] += load.cross_bytes_out;
     });

@@ -68,10 +68,6 @@ class GasVertexProgram {
     (void)machine;
     return 0.0;
   }
-  virtual double ResidualBytes(uint32_t machine) const {
-    (void)machine;
-    return 0.0;
-  }
 
   /// Work multiplier under asynchronous scheduling relative to bulk
   /// passes. Convergent fixed-point computations (PageRank) propagate
@@ -130,10 +126,6 @@ struct GasOptions {
   /// into (contiguous segments). Like the sync engine, deliberately NOT
   /// derived from the thread count. 0 = auto (16).
   uint32_t compute_shards = 0;
-  /// Allow idle threads to steal leftover shards from statically-chosen
-  /// victims (ThreadPool::ParallelForStealable); steal order derives from
-  /// shard indices, never timing. Outputs are identical either way.
-  bool enable_work_stealing = true;
   /// GraphLab's priority scheduler (async mode): process vertices with the
   /// largest pending signal first. Convergent programs settle heavy mass
   /// early and need fewer activations than FIFO order.

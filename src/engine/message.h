@@ -2,13 +2,14 @@
 #define VCMP_ENGINE_MESSAGE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "graph/graph.h"
 
 namespace vcmp {
 
-/// One physical message routed between vertices.
+/// One physical message as a row: what MessageBlock::PushBack takes and
+/// At returns. The engine itself keeps messages in MessageBlock's SoA
+/// columns and hands programs MessageRunView columns.
 ///
 /// `multiplicity` makes the message *logical-count aware*: a physical
 /// message standing for k paper-level messages (e.g. k random walks taking
@@ -25,8 +26,6 @@ struct Message {
   double value = 0.0;
   /// Number of paper-level messages this physical message represents.
   double multiplicity = 1.0;
-
-  std::string ToString() const;
 };
 
 }  // namespace vcmp

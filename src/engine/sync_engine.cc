@@ -34,67 +34,27 @@ constexpr uint32_t kDefaultShardsPerMachine = 16;
 struct SyncEngine::ShardPlan {
   std::vector<uint32_t> bounds;
 
-  /// Greedy proportional cut: shard s ends at the first vertex boundary
-  /// where the cumulative weight reaches total * (s + 1) / shards.
-  void BuildForVertices(const Graph& graph,
-                        const std::vector<VertexId>& vertices,
-                        uint32_t shards) {
+  /// Greedy proportional cut over `n` items: shard s ends at the first
+  /// vertex boundary where the cumulative weight reaches
+  /// total * (s + 1) / shards. `weight(i)` is item i's weight, and
+  /// `same_vertex(i)` says item i belongs to item i - 1's vertex, so no
+  /// cut falls between them.
+  template <typename Weight, typename SameVertex>
+  void Build(uint32_t n, uint32_t shards, const Weight& weight,
+             const SameVertex& same_vertex) {
     uint64_t total = 0;
-    for (VertexId v : vertices) total += 1 + graph.OutDegree(v);
+    for (uint32_t i = 0; i < n; ++i) total += weight(i);
     bounds.assign(shards + 1, 0);
-    const uint32_t n = static_cast<uint32_t>(vertices.size());
     uint32_t i = 0;
     uint64_t cum = 0;
     for (uint32_t s = 0; s < shards; ++s) {
       bounds[s] = i;
       const uint64_t target = total * (s + 1) / shards;
       while (i < n && cum < target) {
-        cum += 1 + graph.OutDegree(vertices[i]);
-        ++i;
-      }
-    }
-    bounds[shards] = n;
-  }
-
-  /// Same cut, weighted by a position-indexed degree column (the real
-  /// out-of-core path streams degrees from the state file instead of
-  /// touching the CSR; the values are identical to graph.OutDegree, so
-  /// the resulting plan is too).
-  void BuildForDegrees(const std::vector<uint32_t>& degrees,
-                       uint32_t shards) {
-    uint64_t total = 0;
-    for (uint32_t d : degrees) total += 1 + static_cast<uint64_t>(d);
-    bounds.assign(shards + 1, 0);
-    const uint32_t n = static_cast<uint32_t>(degrees.size());
-    uint32_t i = 0;
-    uint64_t cum = 0;
-    for (uint32_t s = 0; s < shards; ++s) {
-      bounds[s] = i;
-      const uint64_t target = total * (s + 1) / shards;
-      while (i < n && cum < target) {
-        cum += 1 + static_cast<uint64_t>(degrees[i]);
-        ++i;
-      }
-    }
-    bounds[shards] = n;
-  }
-
-  void BuildForRuns(std::span<const MessageRun> runs, uint32_t shards) {
-    uint64_t total = 0;
-    for (const MessageRun& run : runs) total += run.size() + 1;
-    bounds.assign(shards + 1, 0);
-    const uint32_t n = static_cast<uint32_t>(runs.size());
-    uint32_t i = 0;
-    uint64_t cum = 0;
-    for (uint32_t s = 0; s < shards; ++s) {
-      bounds[s] = i;
-      const uint64_t target = total * (s + 1) / shards;
-      while (i < n && cum < target) {
-        const VertexId vertex = runs[i].target;
-        while (i < n && runs[i].target == vertex) {  // Whole vertex.
-          cum += runs[i].size() + 1;
+        do {  // Whole vertex.
+          cum += weight(i);
           ++i;
-        }
+        } while (i < n && same_vertex(i));
       }
     }
     bounds[shards] = n;
@@ -473,16 +433,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     owned_pool = std::make_unique<ThreadPool>(thread_count - 1);
   }
   ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : *owned_pool;
-  const bool steal = options_.enable_work_stealing;
-  auto parallel_shards = [&pool, steal](
-                             uint32_t count,
-                             const std::function<void(uint32_t)>& fn) {
-    if (steal) {
-      pool.ParallelForStealable(count, fn);
-    } else {
-      pool.ParallelFor(count, fn);
-    }
-  };
 
   EngineResult result;
   const double scale = options_.stat_scale;
@@ -528,7 +478,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     ClusterRoundLoad loads(machines);
 
     bool any_messages_pending = false;
-    const bool use_runs = program.UsesComputeRun();
     const uint64_t compute_start_ns = wallclock::NowNs();
 
     // --- Phase A: per-machine prep (group, receive fold, shard plan) ---
@@ -540,18 +489,26 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       Worker& worker = workers[machine];
       ShardPlan& plan = plans[machine];
       if (round == 0) {
-        // Seeding superstep: every local vertex runs with an empty inbox;
-        // shards balance by out-degree (broadcast seeds scan adjacency).
-        // Under real OOC the degrees come off the state file, streamed
-        // through the cache so the first round pays real vertex-state
-        // I/O like GraphD's load phase would.
+        // Seeding superstep: every local vertex seeds; shards balance by
+        // out-degree (broadcast seeds scan adjacency). Under real OOC the
+        // degrees come off the state file, streamed through the cache so
+        // the first round pays real vertex-state I/O like GraphD's load
+        // phase would (the values equal graph_.OutDegree, so the plan
+        // does too).
+        const std::vector<VertexId>& vertices = vertices_by_machine_[machine];
+        const uint32_t* degrees = nullptr;
         if (rt != nullptr) {
           rt->StreamAllDegrees(machine, &ooc_degrees[machine]);
-          plan.BuildForDegrees(ooc_degrees[machine], shards_per_machine);
-          return;
+          degrees = ooc_degrees[machine].data();
         }
-        plan.BuildForVertices(graph_, vertices_by_machine_[machine],
-                              shards_per_machine);
+        plan.Build(
+            vertices.size(), shards_per_machine,
+            [&](uint32_t i) {
+              return uint64_t{1} + (degrees != nullptr
+                                        ? degrees[i]
+                                        : graph_.OutDegree(vertices[i]));
+            },
+            [](uint32_t) { return false; });
         return;
       }
       if (rt != nullptr) {
@@ -579,17 +536,17 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
               merge_slots[sender * machines + machine].new_wire_keys;
         }
       }
-      if (!use_runs) {
-        // Built once here, read concurrently by this machine's shards.
-        worker.MaterializedInbox();
-      }
       if (rt != nullptr) {
         // Page in the vertex-state sections behind this round's targets
         // (ascending section order; prefetched buffers are consumed at
         // exactly the point a synchronous load would install them).
         rt->TouchSections(machine, worker.runs());
       }
-      plan.BuildForRuns(worker.runs(), shards_per_machine);
+      const std::span<const MessageRun> runs = worker.runs();
+      plan.Build(
+          runs.size(), shards_per_machine,
+          [runs](uint32_t r) { return uint64_t{1} + runs[r].size(); },
+          [runs](uint32_t r) { return runs[r].target == runs[r - 1].target; });
     };
     pool.ParallelFor(machines, prep_machine);
     if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
@@ -597,9 +554,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     // --- Phase B: sharded compute kernels ---
     // runs() is the round's sparse frontier: only vertices with messages
     // appear, in ascending (target, tag) order. Each shard executes its
-    // contiguous vertex range into its own arenas/logs; work stealing
-    // only changes which thread runs a shard, never what the shard
-    // writes.
+    // contiguous vertex range into its own arenas/logs, one ComputeRun per
+    // (vertex, tag) run with the payload handed over as contiguous
+    // columns; a vertex's log record and random stream open at its first
+    // run. Work stealing only changes which thread runs a shard, never
+    // what the shard writes.
     auto run_shard = [&](uint32_t task) {
       const uint32_t machine = task / shards_per_machine;
       const uint32_t shard = task % shards_per_machine;
@@ -613,51 +572,26 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             vertices_by_machine_[machine];
         for (uint32_t i = begin; i < end; ++i) {
           sink.BeginVertex(vertices[i]);
-          program.Compute(vertices[i], {}, sink);
+          program.Seed(vertices[i], sink);
         }
         return;
       }
-      Worker& worker = workers[machine];
+      const Worker& worker = workers[machine];
       const std::span<const MessageRun> runs = worker.runs();
       const double* values = worker.grouped_values();
       const double* mults = worker.grouped_multiplicities();
-      if (use_runs) {
-        // Devirtualized batch path: one ComputeRun per (vertex, tag)
-        // run, payload handed over as contiguous columns. Same call
-        // order a per-vertex Compute would fold the tag groups in.
-        VertexId prev_target = 0;
-        bool have_prev = false;
-        for (uint32_t r = begin; r < end; ++r) {
-          const MessageRun& run = runs[r];
-          if (!have_prev || run.target != prev_target) {
-            sink.BeginVertex(run.target);
-            prev_target = run.target;
-            have_prev = true;
-          }
-          MessageRunView view{run.tag, values + run.begin,
-                              mults + run.begin, run.size()};
-          program.ComputeRun(run.target, view, sink);
+      for (uint32_t r = begin; r < end; ++r) {
+        const MessageRun& run = runs[r];
+        if (r == begin || run.target != runs[r - 1].target) {
+          sink.BeginVertex(run.target);
         }
-      } else {
-        // Fallback: the AoS view was materialized in phase A; hand each
-        // vertex the multi-tag span the legacy Compute signature expects.
-        const std::span<const Message> inbox = worker.MaterializedInbox();
-        uint32_t r = begin;
-        while (r < end) {
-          uint32_t r_end = r + 1;
-          while (r_end < end && runs[r_end].target == runs[r].target) {
-            ++r_end;
-          }
-          const size_t first = runs[r].begin;
-          const size_t last = runs[r_end - 1].end;
-          sink.BeginVertex(runs[r].target);
-          program.Compute(runs[r].target,
-                          inbox.subspan(first, last - first), sink);
-          r = r_end;
-        }
+        program.ComputeRun(run.target,
+                           MessageRunView{run.tag, values + run.begin,
+                                          mults + run.begin, run.size()},
+                           sink);
       }
     };
-    parallel_shards(num_shard_tasks, run_shard);
+    pool.ParallelForStealable(num_shard_tasks, run_shard);
 
     // --- Phase C: cross-traffic tally ---
     // One task per (sender, destination) pair walks the sender's shard
@@ -712,7 +646,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       }
       if (collect_times) slot.merge_ns = wallclock::NowNs() - t0;
     };
-    parallel_shards(machines * machines, tally_pair);
+    pool.ParallelForStealable(machines * machines, tally_pair);
 
     // --- Phase D: fold per-vertex logs in vertex order ---
     // Shard s holds a contiguous vertex range, so concatenating the
@@ -832,16 +766,14 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       load.state_bytes =
           (graph_share_bytes_[machine] + program.StateBytes(machine)) *
           scale;
-      // Residual memory: the carryover from earlier batches, whatever the
-      // program still reports itself, and the engine's ledger of
-      // AddResidualBytes calls accumulated over this run's rounds.
+      // Residual memory: the carryover from earlier batches and the
+      // engine's ledger of AddResidualBytes calls accumulated over this
+      // run's rounds.
       residual_ledger[machine] += machine_residual_round[machine];
       double carryover = options_.carryover_residual_bytes.empty()
                              ? 0.0
                              : options_.carryover_residual_bytes[machine];
-      load.residual_bytes = (carryover + program.ResidualBytes(machine) +
-                             residual_ledger[machine]) *
-                            scale;
+      load.residual_bytes = (carryover + residual_ledger[machine]) * scale;
       if (rt != nullptr) {
         // Measured spill: what the stream actually restored this round,
         // expressed in the same paper-scale buffered-byte terms the

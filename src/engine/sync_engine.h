@@ -61,12 +61,6 @@ struct EngineOptions {
   /// bit-identical at every thread count and every shard count.
   /// 0 = auto (16).
   uint32_t compute_shards_per_machine = 0;
-  /// Let threads that drained their own shards claim leftovers from
-  /// statically-chosen victims (ThreadPool::ParallelForStealable). Steal
-  /// order derives from shard indices, never timing; turning this off
-  /// pins every shard to its round-robin owner. Outputs are identical
-  /// either way.
-  bool enable_work_stealing = true;
   /// Collect wall/busy time per engine phase into EngineResult::phase
   /// (perf-trajectory benches). Off by default: the hot paths then pay
   /// only a predictable branch per round.

@@ -1,17 +1,16 @@
 #ifndef VCMP_ENGINE_VERTEX_PROGRAM_H_
 #define VCMP_ENGINE_VERTEX_PROGRAM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "common/rng.h"
-#include "engine/message.h"
 #include "graph/graph.h"
 
 namespace vcmp {
 
-/// Messaging interface handed to VertexProgram::Compute. Implemented by the
-/// engines; routes messages, applies combining, and accounts statistics.
+/// Messaging interface handed to VertexProgram::Seed and ComputeRun.
+/// Implemented by the engines; routes messages and accounts statistics.
 class MessageSink {
  public:
   virtual ~MessageSink() = default;
@@ -48,7 +47,8 @@ class MessageSink {
   /// Current communication round (0 = the seeding superstep).
   virtual uint64_t round() const = 0;
 
-  /// Deterministic per-run random stream.
+  /// Random stream of the current vertex, reseeded at its first run
+  /// from (seed, query, round, vertex).
   virtual Rng& rng() = 0;
 };
 
@@ -73,44 +73,26 @@ struct MessageRunView {
 
 /// A vertex-centric computation in the Pregel style (Section 2.1).
 ///
-/// Round 0 calls Compute for every vertex with an empty inbox (the seeding
-/// superstep). In later rounds, Compute runs only for vertices that
-/// received messages — the vote-to-halt default. The engine terminates
-/// when a round sends no messages, when the program requests termination,
-/// or at the round cap.
-///
-/// Programs may additionally opt into the batched run path (UsesComputeRun
-/// returning true): rounds >= 1 then call ComputeRun once per contiguous
-/// (vertex, tag) run instead of Compute once per vertex with an AoS span.
-/// The determinism contract for an opted-in program is that the sequence
-/// of sink calls and RNG draws it makes across the round's runs is
-/// *identical* to what its Compute would make over the same grouped
-/// inbox — the engine delivers runs in exactly the (target, tag) order
-/// Compute's span would present, so a program whose Compute folds each
-/// tag group independently (all of ours do) ports mechanically.
+/// Round 0 calls Seed once for every vertex (the seeding superstep). Every
+/// later round calls ComputeRun only for vertices that received messages
+/// — the vote-to-halt default — once per (vertex, tag) run of the grouped
+/// inbox, in ascending (target, tag) order: a vertex's runs arrive
+/// back to back, each tag once. A program folds each run on its own (a
+/// sum, a min, a per-message scan); the run's payload keeps arrival order,
+/// so the fold's order is fixed by the engine's grouping, never by shards
+/// or threads. The engine opens a vertex's log record and random stream
+/// at its first run. The engine terminates when a round sends no
+/// messages, when the program requests termination, or at the round cap.
 class VertexProgram {
  public:
   virtual ~VertexProgram() = default;
 
-  /// The per-vertex user function. `inbox` holds this round's messages for
-  /// v, grouped by the engine (empty in round 0). Round 0 always uses this
-  /// entry point; later rounds use it when UsesComputeRun() is false.
-  virtual void Compute(VertexId v, std::span<const Message> inbox,
-                       MessageSink& sink) = 0;
+  /// Round 0: v's seeding step, with no messages.
+  virtual void Seed(VertexId v, MessageSink& sink) = 0;
 
-  /// True if the program implements ComputeRun; the engine then skips the
-  /// AoS inbox materialization entirely.
-  virtual bool UsesComputeRun() const { return false; }
-
-  /// Batched entry point: one call per (v, tag) run in ascending
-  /// (target, tag) order. Default is unreachable (engines only call it
-  /// when UsesComputeRun() is true).
+  /// Rounds >= 1: one call per (v, tag) run of v's inbox.
   virtual void ComputeRun(VertexId v, const MessageRunView& run,
-                          MessageSink& sink) {
-    (void)v;
-    (void)run;
-    (void)sink;
-  }
+                          MessageSink& sink) = 0;
 
   /// Explicit termination check evaluated after each round, for programs
   /// with round-count semantics (e.g. BKHS stops after k+1 rounds).
@@ -131,14 +113,6 @@ class VertexProgram {
   /// Bytes of vertex state held on `machine` (generated-graph scale; the
   /// engine applies the dataset scale factor).
   virtual double StateBytes(uint32_t machine) const {
-    (void)machine;
-    return 0.0;
-  }
-
-  /// Bytes of intermediate results on `machine` that must survive until
-  /// final aggregation — the paper's residual memory. Grows as the batch
-  /// progresses (e.g. terminated-walk records).
-  virtual double ResidualBytes(uint32_t machine) const {
     (void)machine;
     return 0.0;
   }

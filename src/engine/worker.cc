@@ -88,7 +88,6 @@ void Worker::Reset() {
   grouped_values_ptr_ = nullptr;
   grouped_mults_ptr_ = nullptr;
   grouped_size_ = 0;
-  aos_valid_ = false;
   send_stats_.Clear();
   group_ns_ = 0;
 }
@@ -116,7 +115,6 @@ MessageRun Worker::RunFor(uint64_t key, uint32_t begin, uint32_t end) const {
 
 void Worker::GroupSegments(std::span<const MessageBlock* const> segments) {
   runs_.clear();
-  aos_valid_ = false;
 
   // Scan: inbox size and key widths. Tags (and raw targets when there is
   // no local numbering) contribute their OR; a numbered target needs
@@ -238,21 +236,6 @@ void Worker::GroupSegments(std::span<const MessageBlock* const> segments) {
   runs_.push_back(RunFor(run_key, run_begin, static_cast<uint32_t>(n)));
   ScatterPayload(segments, out_values, out_mults,
                  [&](size_t i) { return positions_[i]; });
-}
-
-std::span<const Message> Worker::MaterializedInbox() {
-  if (!aos_valid_) {
-    aos_scratch_.resize(grouped_size_);
-    const double* values = grouped_values_ptr_;
-    const double* mults = grouped_mults_ptr_;
-    for (const MessageRun& run : runs_) {
-      for (uint32_t i = run.begin; i < run.end; ++i) {
-        aos_scratch_[i] = Message{run.target, run.tag, values[i], mults[i]};
-      }
-    }
-    aos_valid_ = true;
-  }
-  return {aos_scratch_.data(), grouped_size_};
 }
 
 }  // namespace vcmp

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "engine/message.h"
 #include "engine/message_block.h"
 #include "graph/partition.h"
 
@@ -151,11 +150,6 @@ class Worker {
   const double* grouped_multiplicities() const { return grouped_mults_ptr_; }
   size_t grouped_size() const { return grouped_size_; }
 
-  /// AoS view of the grouped inbox for programs without a ComputeRun
-  /// implementation (built lazily, reused within the round). Valid until
-  /// the next grouping.
-  std::span<const Message> MaterializedInbox();
-
   /// Enables grouping-time collection (see group_ns). Off by default;
   /// on, each GroupInbox call reads the clock twice, never per message.
   void set_collect_timing(bool on) { collect_timing_ = on; }
@@ -192,9 +186,6 @@ class Worker {
   const double* grouped_values_ptr_ = nullptr;
   const double* grouped_mults_ptr_ = nullptr;
   size_t grouped_size_ = 0;
-  // vcmp:lint-allow(P1, sanctioned AoS fallback view for programs without ComputeRun)
-  std::vector<Message> aos_scratch_;
-  bool aos_valid_ = false;
 
   WorkerSendStats send_stats_;
   bool collect_timing_ = false;

@@ -34,25 +34,20 @@ BkhsProgram::BkhsProgram(const TaskContext& context, ProgramFlavor flavor,
   }
 }
 
-void BkhsProgram::Compute(VertexId v, std::span<const Message> inbox,
-                          MessageSink& sink) {
-  if (sink.round() == 0) {
-    for (uint32_t sample = 0; sample < num_samples(); ++sample) {
-      if (sources_[sample] == v) Visit(v, sample, 0, sink);
-    }
-    return;
+void BkhsProgram::Seed(VertexId v, MessageSink& sink) {
+  for (uint32_t sample = 0; sample < num_samples(); ++sample) {
+    if (sources_[sample] == v) Visit(v, sample, 0, sink);
   }
-  size_t i = 0;
-  while (i < inbox.size()) {
-    size_t j = i;
-    uint32_t hop = static_cast<uint32_t>(inbox[i].value);
-    while (j < inbox.size() && inbox[j].tag == inbox[i].tag) {
-      hop = std::min(hop, static_cast<uint32_t>(inbox[j].value));
-      ++j;
-    }
-    Visit(v, inbox[i].tag, hop, sink);
-    i = j;
+}
+
+void BkhsProgram::ComputeRun(VertexId v, const MessageRunView& run,
+                             MessageSink& sink) {
+  // One run per (vertex, sample): the smallest hop count offered.
+  uint32_t hop = static_cast<uint32_t>(run.values[0]);
+  for (size_t i = 1; i < run.count; ++i) {
+    hop = std::min(hop, static_cast<uint32_t>(run.values[i]));
   }
+  Visit(v, run.tag, hop, sink);
 }
 
 void BkhsProgram::Visit(VertexId v, uint32_t sample, uint32_t hop,

@@ -48,8 +48,9 @@ class BkhsProgram : public VertexProgram {
               double workload, const BkhsTask::Params& params,
               uint64_t seed);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
+  void Seed(VertexId v, MessageSink& sink) override;
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override;
   bool ShouldTerminate(uint64_t rounds_completed) const override {
     return rounds_completed >= params_.k + 1;
   }

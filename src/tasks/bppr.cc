@@ -94,31 +94,20 @@ BpprCountingProgram::BpprCountingProgram(const TaskContext& context,
           std::llround(std::max(0.0, walks_per_vertex)))),
       params_(params),
       stopped_(context.graph->NumVertices(), 0) {
-  // Randomness comes from the engine's per-machine streams (sink.rng());
+  // Randomness comes from the engine's per-vertex streams (sink.rng());
   // the seed parameter is kept so batch construction remains explicit
   // about its stochastic identity.
   (void)seed;
 }
 
-void BpprCountingProgram::Compute(VertexId v,
-                                  std::span<const Message> inbox,
-                                  MessageSink& sink) {
-  uint64_t resident = 0;
-  if (sink.round() == 0) {
-    resident = walks_per_vertex_;
-  } else {
-    double incoming = 0.0;
-    for (const Message& message : inbox) incoming += message.value;
-    resident = static_cast<uint64_t>(std::llround(incoming));
-  }
-  AdvanceResident(v, resident, sink);
+void BpprCountingProgram::Seed(VertexId v, MessageSink& sink) {
+  AdvanceResident(v, walks_per_vertex_, sink);
 }
 
 void BpprCountingProgram::ComputeRun(VertexId v, const MessageRunView& run,
                                      MessageSink& sink) {
   // Counting mode sends on a single tag (0), so each vertex owns exactly
-  // one run per round; SumValues folds in the same left-to-right order
-  // Compute's span walk did.
+  // one run per round: its resident walk count.
   AdvanceResident(
       v, static_cast<uint64_t>(std::llround(run.SumValues())), sink);
 }
@@ -128,7 +117,7 @@ void BpprCountingProgram::AdvanceResident(VertexId v, uint64_t resident,
   if (resident == 0) return;
 
   // Each resident walk stops here with probability alpha. Randomness is
-  // drawn from the sink's per-machine stream so machines can compute
+  // drawn from the sink's per-vertex stream so vertices can compute
   // concurrently and deterministically.
   Rng& rng = sink.rng();
   const auto neighbors = context_.graph->Neighbors(v);
@@ -199,30 +188,14 @@ BpprPushProgram::BpprPushProgram(const TaskContext& context,
       stopped_mass_(context.graph->NumVertices(), 0.0),
       settled_sources_(context.graph->NumVertices()) {}
 
-void BpprPushProgram::Compute(VertexId v, std::span<const Message> inbox,
-                              MessageSink& sink) {
-  if (sink.round() == 0) {
-    // Every vertex is the source of its own W-walk budget.
-    ProcessMass(v, /*source=*/v, walks_per_vertex_, sink);
-    return;
-  }
-  // Inbox grouped by (target, tag): fold per-source shares.
-  size_t i = 0;
-  while (i < inbox.size()) {
-    size_t j = i;
-    double mass = 0.0;
-    while (j < inbox.size() && inbox[j].tag == inbox[i].tag) {
-      mass += inbox[j].value;
-      ++j;
-    }
-    ProcessMass(v, inbox[i].tag, mass, sink);
-    i = j;
-  }
+void BpprPushProgram::Seed(VertexId v, MessageSink& sink) {
+  // Every vertex is the source of its own W-walk budget.
+  ProcessMass(v, /*source=*/v, walks_per_vertex_, sink);
 }
 
 void BpprPushProgram::ComputeRun(VertexId v, const MessageRunView& run,
                                  MessageSink& sink) {
-  // One run per (vertex, source): the per-tag fold Compute performed.
+  // One run per (vertex, source): that source's incoming shares.
   ProcessMass(v, run.tag, run.SumValues(), sink);
 }
 
@@ -317,32 +290,14 @@ BpprPerSourceProgram::BpprPerSourceProgram(const TaskContext& context,
   (void)seed;
 }
 
-void BpprPerSourceProgram::Compute(VertexId v,
-                                   std::span<const Message> inbox,
-                                   MessageSink& sink) {
-  if (sink.round() == 0) {
-    TrackPair(v, sink.round());
-    Advance(v, v, walks_per_vertex_, sink);
-    return;
-  }
-  // Inbox grouped by (target, tag): one resident count per source.
-  size_t i = 0;
-  while (i < inbox.size()) {
-    size_t j = i;
-    double incoming = 0.0;
-    while (j < inbox.size() && inbox[j].tag == inbox[i].tag) {
-      incoming += inbox[j].value;
-      ++j;
-    }
-    TrackPair(v, sink.round());
-    Advance(v, inbox[i].tag,
-            static_cast<uint64_t>(std::llround(incoming)), sink);
-    i = j;
-  }
+void BpprPerSourceProgram::Seed(VertexId v, MessageSink& sink) {
+  TrackPair(v, sink.round());
+  Advance(v, v, walks_per_vertex_, sink);
 }
 
 void BpprPerSourceProgram::ComputeRun(VertexId v, const MessageRunView& run,
                                       MessageSink& sink) {
+  // One run per (vertex, source): that source's resident walk count.
   TrackPair(v, sink.round());
   Advance(v, run.tag, static_cast<uint64_t>(std::llround(run.SumValues())),
           sink);
@@ -435,24 +390,18 @@ BpprExactProgram::BpprExactProgram(const TaskContext& context,
       << "BpprExactProgram is for small validation graphs";
 }
 
-void BpprExactProgram::Compute(VertexId v, std::span<const Message> inbox,
-                               MessageSink& sink) {
-  if (sink.round() == 0) {
-    Advance(v, v, walks_per_vertex_, sink);
-    return;
+void BpprExactProgram::Seed(VertexId v, MessageSink& sink) {
+  Advance(v, v, walks_per_vertex_, sink);
+}
+
+void BpprExactProgram::ComputeRun(VertexId v, const MessageRunView& run,
+                                  MessageSink& sink) {
+  // One run per (vertex, source): that source's resident walk count.
+  uint64_t count = 0;
+  for (size_t i = 0; i < run.count; ++i) {
+    count += static_cast<uint64_t>(std::llround(run.values[i]));
   }
-  // Messages are grouped by (target, tag): fold per-source counts.
-  size_t i = 0;
-  while (i < inbox.size()) {
-    size_t j = i;
-    uint64_t count = 0;
-    while (j < inbox.size() && inbox[j].tag == inbox[i].tag) {
-      count += static_cast<uint64_t>(std::llround(inbox[j].value));
-      ++j;
-    }
-    Advance(v, inbox[i].tag, count, sink);
-    i = j;
-  }
+  Advance(v, run.tag, count, sink);
 }
 
 void BpprExactProgram::Advance(VertexId v, uint32_t source, uint64_t count,

@@ -69,9 +69,7 @@ class BpprCountingProgram : public VertexProgram {
   BpprCountingProgram(const TaskContext& context, double walks_per_vertex,
                       const BpprTask::Params& params, uint64_t seed);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
-  bool UsesComputeRun() const override { return true; }
+  void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
@@ -109,9 +107,7 @@ class BpprPushProgram : public VertexProgram {
   BpprPushProgram(const TaskContext& context, double walks_per_vertex,
                   const BpprTask::Params& params);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
-  bool UsesComputeRun() const override { return true; }
+  void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
@@ -151,9 +147,7 @@ class BpprPerSourceProgram : public VertexProgram {
   BpprPerSourceProgram(const TaskContext& context, double walks_per_vertex,
                        const BpprTask::Params& params, uint64_t seed);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
-  bool UsesComputeRun() const override { return true; }
+  void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
@@ -196,8 +190,9 @@ class BpprExactProgram : public VertexProgram {
   BpprExactProgram(const TaskContext& context, double walks_per_vertex,
                    double alpha, uint64_t seed);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
+  void Seed(VertexId v, MessageSink& sink) override;
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override;
 
   /// PPR estimate of target u for source s: stops(s, u) / W.
   double Ppr(VertexId source, VertexId u) const;

@@ -35,16 +35,14 @@ BpprSourceBatchProgram::BpprSourceBatchProgram(
   }
 }
 
-void BpprSourceBatchProgram::Compute(VertexId v,
-                                     std::span<const Message> inbox,
-                                     MessageSink& sink) {
-  if (sink.round() == 0) {
-    if (is_source_[v]) Move(v, params_.walks_per_source, sink);
-    return;
-  }
-  double incoming = 0.0;
-  for (const Message& message : inbox) incoming += message.value;
-  Move(v, static_cast<uint64_t>(std::llround(incoming)), sink);
+void BpprSourceBatchProgram::Seed(VertexId v, MessageSink& sink) {
+  if (is_source_[v]) Move(v, params_.walks_per_source, sink);
+}
+
+void BpprSourceBatchProgram::ComputeRun(VertexId v, const MessageRunView& run,
+                                        MessageSink& sink) {
+  // Walks travel on one tag (0): one run per vertex per round.
+  Move(v, static_cast<uint64_t>(std::llround(run.SumValues())), sink);
 }
 
 void BpprSourceBatchProgram::Move(VertexId v, uint64_t count,

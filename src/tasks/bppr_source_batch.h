@@ -49,8 +49,9 @@ class BpprSourceBatchProgram : public VertexProgram {
                          const BpprSourceBatchTask::Params& params,
                          uint64_t seed);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
+  void Seed(VertexId v, MessageSink& sink) override;
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
   bool combinable() const override { return true; }
 

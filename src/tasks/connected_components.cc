@@ -14,28 +14,16 @@ ConnectedComponentsProgram::ConnectedComponentsProgram(
   }
 }
 
-void ConnectedComponentsProgram::Compute(VertexId v,
-                                         std::span<const Message> inbox,
-                                         MessageSink& sink) {
-  uint32_t best = labels_[v];
-  if (sink.round() == 0) {
-    // Seed: offer my id to every neighbour.
-    Offer(v, best, sink);
-    return;
-  }
-  for (const Message& message : inbox) {
-    best = std::min(best, static_cast<uint32_t>(message.value));
-  }
-  if (best >= labels_[v]) return;  // No improvement: vote to halt.
-  labels_[v] = best;
-  Offer(v, best, sink);
+void ConnectedComponentsProgram::Seed(VertexId v, MessageSink& sink) {
+  // Offer my id to every neighbour.
+  Offer(v, labels_[v], sink);
 }
 
 void ConnectedComponentsProgram::ComputeRun(VertexId v,
                                             const MessageRunView& run,
                                             MessageSink& sink) {
   // Single tag (0): one run per vertex — the hash-min fold over the
-  // run's label column, same element order as Compute's span walk.
+  // run's label column.
   uint32_t best = labels_[v];
   for (size_t i = 0; i < run.count; ++i) {
     best = std::min(best, static_cast<uint32_t>(run.values[i]));

@@ -18,9 +18,7 @@ class ConnectedComponentsProgram : public VertexProgram {
  public:
   ConnectedComponentsProgram(const TaskContext& context);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
-  bool UsesComputeRun() const override { return true; }
+  void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;

@@ -31,33 +31,16 @@ MsspProgram::MsspProgram(const TaskContext& context, ProgramFlavor flavor,
   dist_.assign(static_cast<size_t>(samples) * num_vertices_, kUnreached);
 }
 
-void MsspProgram::Compute(VertexId v, std::span<const Message> inbox,
-                          MessageSink& sink) {
-  if (sink.round() == 0) {
-    for (uint32_t sample = 0; sample < num_samples(); ++sample) {
-      if (sources_[sample] == v) Relax(v, sample, 0, sink);
-    }
-    return;
-  }
-  // Receiver-side aggregation (Section 3): among messages with the same
-  // source, only the smallest length is retained.
-  size_t i = 0;
-  while (i < inbox.size()) {
-    size_t j = i;
-    uint32_t best = kUnreached;
-    while (j < inbox.size() && inbox[j].tag == inbox[i].tag) {
-      best = std::min(best, static_cast<uint32_t>(inbox[j].value));
-      ++j;
-    }
-    Relax(v, inbox[i].tag, best, sink);
-    i = j;
+void MsspProgram::Seed(VertexId v, MessageSink& sink) {
+  for (uint32_t sample = 0; sample < num_samples(); ++sample) {
+    if (sources_[sample] == v) Relax(v, sample, 0, sink);
   }
 }
 
 void MsspProgram::ComputeRun(VertexId v, const MessageRunView& run,
                              MessageSink& sink) {
-  // One run per (vertex, source): the receiver-side min fold over the
-  // run's distance column, same element order as Compute's span walk.
+  // Receiver-side aggregation (Section 3): one run per (vertex, source),
+  // of which only the smallest length is retained.
   uint32_t best = kUnreached;
   for (size_t i = 0; i < run.count; ++i) {
     best = std::min(best, static_cast<uint32_t>(run.values[i]));

@@ -54,9 +54,7 @@ class MsspProgram : public VertexProgram {
               double workload, const MsspTask::Params& params,
               uint64_t seed);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
-  bool UsesComputeRun() const override { return true; }
+  void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   bool combinable() const override { return true; }

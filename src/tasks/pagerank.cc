@@ -14,25 +14,14 @@ PageRankProgram::PageRankProgram(const TaskContext& context,
       rank_(context.graph->NumVertices(),
             1.0 / context.graph->NumVertices()) {}
 
-void PageRankProgram::Compute(VertexId v, std::span<const Message> inbox,
-                              MessageSink& sink) {
-  const VertexId n = context_.graph->NumVertices();
-  if (sink.round() > 0) {
-    double incoming = 0.0;
-    for (const Message& message : inbox) incoming += message.value;
-    double updated = (1.0 - params_.damping) / n + params_.damping * incoming;
-    if (params_.tolerance > 0.0) {
-      sink.Aggregate(std::fabs(updated - rank_[v]));
-    }
-    rank_[v] = updated;
-  }
+void PageRankProgram::Seed(VertexId v, MessageSink& sink) {
   Propagate(v, sink);
 }
 
 void PageRankProgram::ComputeRun(VertexId v, const MessageRunView& run,
                                  MessageSink& sink) {
-  // Single tag (0): one run per vertex per round, summed in the same
-  // left-to-right order Compute's span walk used.
+  // Single tag (0): one run per vertex per round, holding its incoming
+  // rank shares.
   const VertexId n = context_.graph->NumVertices();
   double updated =
       (1.0 - params_.damping) / n + params_.damping * run.SumValues();

@@ -27,9 +27,7 @@ class PageRankProgram : public VertexProgram {
 
   PageRankProgram(const TaskContext& context, const Params& params);
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override;
-  bool UsesComputeRun() const override { return true; }
+  void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   bool ShouldTerminate(uint64_t rounds_completed) const override {

@@ -20,8 +20,8 @@ struct TaskContext {
   /// engine's stat_scale, so most tasks can ignore it.
   double scale = 1.0;
   /// True when the target system combines same-(target, tag) messages at
-  /// the sender (GraphLab sync). Tasks whose pooled representation would
-  /// over-combine (BPPR) switch to per-source traffic granularity.
+  /// the sender (GraphLab sync). BPPR then runs per-source traffic
+  /// granularity, but only when its `per_source_traffic` parameter is set.
   bool combining_system = false;
 };
 

@@ -151,12 +151,10 @@ class RecordingProgram : public VertexProgram {
 
   explicit RecordingProgram(VertexProgram& inner) : inner_(inner) {}
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override {
+  void Seed(VertexId v, MessageSink& sink) override {
     Sink recorder(*this, v, sink);
-    inner_.Compute(v, inbox, recorder);
+    inner_.Seed(v, recorder);
   }
-  bool UsesComputeRun() const override { return inner_.UsesComputeRun(); }
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override {
     Sink recorder(*this, v, sink);
@@ -170,9 +168,6 @@ class RecordingProgram : public VertexProgram {
   }
   double StateBytes(uint32_t machine) const override {
     return inner_.StateBytes(machine);
-  }
-  double ResidualBytes(uint32_t machine) const override {
-    return inner_.ResidualBytes(machine);
   }
   bool combinable() const override { return inner_.combinable(); }
 

@@ -1,13 +1,16 @@
 // Tests of the engine's parallel-execution machinery: the thread pool,
 // the inbox grouper (against a stable-sort oracle), the flat wire-key
-// set, and the regression that engine results are bit-identical for
-// every thread count (the determinism contract every perf change must
-// preserve).
+// set, the regression that engine results are bit-identical for every
+// thread count (the determinism contract every perf change must
+// preserve), and every program's numbers pinned as recorded.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <memory>
+#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +20,10 @@
 #include "engine/worker.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "tasks/bkhs.h"
 #include "tasks/bppr.h"
+#include "tasks/bppr_source_batch.h"
+#include "tasks/connected_components.h"
 #include "tasks/mssp.h"
 #include "tasks/pagerank.h"
 #include "tasks/task_registry.h"
@@ -454,6 +460,306 @@ INSTANTIATE_TEST_SUITE_P(
       }
     });
 
+// --- Recorded numbers per (program, profile) -------------------------
+
+enum class Program {
+  kBkhs,
+  kBpprSourceBatch,
+  kBpprExact,
+  kBpprCounting,
+  kBpprPerSource,
+  kBpprPush,
+  kMssp,
+  kPageRank,
+  kConnectedComponents,
+};
+
+/// One run's numbers, as hex floats. `answers` is an FNV-1a digest of the
+/// task output; every other field is an EngineResult field.
+struct RecordedRun {
+  const char* name;
+  Program program;
+  SystemKind system;
+  double seconds;
+  uint64_t num_rounds;
+  double total_messages;
+  double peak_memory_bytes;
+  std::vector<double> residual_bytes_per_machine;
+  std::vector<double> cross_machine_bytes;  // Per round.
+  uint64_t answers;
+};
+
+void PrintTo(const RecordedRun& run, std::ostream* os) { *os << run.name; }
+
+const Graph& RecordedGraph() {
+  static const Graph& graph = *new Graph(
+      GenerateRmat({.num_vertices = 2000, .num_edges = 12000, .seed = 77}));
+  return graph;
+}
+
+const Partitioning& RecordedPartition() {
+  static const Partitioning& part =
+      *new Partitioning(HashPartitioner().Partition(RecordedGraph(), 4));
+  return part;
+}
+
+/// FNV-1a over 64-bit words.
+struct AnswerDigest {
+  uint64_t hash = 1469598103934665603ULL;
+  void Add(uint64_t word) { hash = (hash ^ word) * 1099511628211ULL; }
+  void Add(double value) { Add(std::bit_cast<uint64_t>(value)); }
+};
+
+std::unique_ptr<VertexProgram> MakeRecordedProgram(Program program,
+                                                   const TaskContext& context,
+                                                   ProgramFlavor flavor) {
+  switch (program) {
+    case Program::kBkhs:
+      return std::make_unique<BkhsProgram>(context, flavor, 8.0,
+                                           BkhsTask::Params{}, 5);
+    case Program::kBpprSourceBatch:
+      return std::make_unique<BpprSourceBatchProgram>(
+          context, 8.0, BpprSourceBatchTask::Params{.walks_per_source = 500},
+          5);
+    case Program::kBpprExact:
+      return std::make_unique<BpprExactProgram>(context, 4.0, 0.2, 3);
+    case Program::kBpprCounting:
+      return std::make_unique<BpprCountingProgram>(context, 16.0,
+                                                   BpprTask::Params{}, 3);
+    case Program::kBpprPerSource:
+      return std::make_unique<BpprPerSourceProgram>(context, 4.0,
+                                                    BpprTask::Params{}, 3);
+    case Program::kBpprPush:
+      return std::make_unique<BpprPushProgram>(context, 16.0,
+                                               BpprTask::Params{});
+    case Program::kMssp:
+      return std::make_unique<MsspProgram>(context, flavor, 8.0,
+                                           MsspTask::Params{}, 5);
+    case Program::kPageRank:
+      return std::make_unique<PageRankProgram>(
+          context, PageRankProgram::Params{.iterations = 10});
+    case Program::kConnectedComponents:
+      return std::make_unique<ConnectedComponentsProgram>(context);
+  }
+  return nullptr;
+}
+
+/// Digest of the task output: sampled sources with their k-hop counts or
+/// total stops, the PPR matrix, per-vertex stops, settled mass, ranks or
+/// labels, or per-(sample, vertex) distances.
+uint64_t DigestAnswers(Program program, const VertexProgram& base) {
+  const VertexId n = RecordedGraph().NumVertices();
+  AnswerDigest digest;
+  switch (program) {
+    case Program::kBkhs: {
+      const auto& p = static_cast<const BkhsProgram&>(base);
+      for (uint32_t s = 0; s < p.num_samples(); ++s) {
+        digest.Add(uint64_t{p.SourceOf(s)});
+        digest.Add(p.KHopCount(s));
+      }
+      break;
+    }
+    case Program::kBpprSourceBatch: {
+      const auto& p = static_cast<const BpprSourceBatchProgram&>(base);
+      for (uint32_t s = 0; s < p.num_samples(); ++s) {
+        digest.Add(uint64_t{p.SourceOf(s)});
+      }
+      digest.Add(p.TotalStopped());
+      break;
+    }
+    case Program::kBpprExact: {
+      const auto& p = static_cast<const BpprExactProgram&>(base);
+      for (VertexId s = 0; s < n; ++s) {
+        for (VertexId u = 0; u < n; ++u) digest.Add(p.Ppr(s, u));
+      }
+      break;
+    }
+    case Program::kBpprCounting: {
+      const auto& p = static_cast<const BpprCountingProgram&>(base);
+      for (VertexId u = 0; u < n; ++u) digest.Add(p.StoppedAt(u));
+      break;
+    }
+    case Program::kBpprPerSource: {
+      const auto& p = static_cast<const BpprPerSourceProgram&>(base);
+      for (VertexId u = 0; u < n; ++u) digest.Add(p.StoppedAt(u));
+      break;
+    }
+    case Program::kBpprPush: {
+      const auto& p = static_cast<const BpprPushProgram&>(base);
+      for (VertexId u = 0; u < n; ++u) digest.Add(p.StoppedMassAt(u));
+      digest.Add(p.ResultPairs());
+      break;
+    }
+    case Program::kMssp: {
+      const auto& p = static_cast<const MsspProgram&>(base);
+      for (uint32_t s = 0; s < p.num_samples(); ++s) {
+        for (VertexId v = 0; v < n; ++v) digest.Add(uint64_t{p.Distance(s, v)});
+      }
+      break;
+    }
+    case Program::kPageRank: {
+      const auto& p = static_cast<const PageRankProgram&>(base);
+      for (VertexId v = 0; v < n; ++v) digest.Add(p.Rank(v));
+      break;
+    }
+    case Program::kConnectedComponents: {
+      const auto& p = static_cast<const ConnectedComponentsProgram&>(base);
+      for (VertexId v = 0; v < n; ++v) digest.Add(uint64_t{p.ComponentOf(v)});
+      break;
+    }
+  }
+  return digest.hash;
+}
+
+/// Runs `program` on `system` (broadcast flavour under mirroring) and
+/// returns the result and DigestAnswers.
+std::pair<EngineResult, uint64_t> RunRecorded(Program program,
+                                              SystemKind system,
+                                              uint32_t threads) {
+  const Graph& graph = RecordedGraph();
+  const Partitioning& part = RecordedPartition();
+  EngineOptions options;
+  options.cluster = RelaxedCluster(4);
+  options.profile = ProfileFor(system);
+  options.execution_threads = threads;
+  options.clamp_threads_to_hardware = false;
+  const TaskContext context{&graph, &part, 1.0,
+                            options.profile.combines_messages};
+  std::unique_ptr<VertexProgram> vertex_program = MakeRecordedProgram(
+      program, context,
+      options.profile.mirroring ? ProgramFlavor::kBroadcast
+                                : ProgramFlavor::kPointToPoint);
+  auto result = SyncEngine(graph, part, options).Run(*vertex_program);
+  EXPECT_TRUE(result.ok());
+  return {result.value_or(EngineResult{}),
+          DigestAnswers(program, *vertex_program)};
+}
+
+/// Numbers recorded before BKHS, source-batched BPPR and exact BPPR
+/// moved from a per-vertex span fold onto ComputeRun, and before every
+/// program's round-0 branch became Seed. The runs reach every program
+/// through the single Seed/ComputeRun path; any change in fold order or
+/// RNG stream would move these.
+const std::vector<RecordedRun>& RecordedRuns() {
+  static const auto& runs = *new std::vector<RecordedRun>{
+      {"BkhsPregelPlus", Program::kBkhs, SystemKind::kPregelPlus,
+       0x1.a2d470cf52d07p-5, 3, 0x1.528p+11, 0x1.703p+15,
+       {0x1.b8p+10, 0x1.13p+11, 0x1.b5p+10, 0x1.ecp+10},
+       {0x1.68p+8, 0x1.3bp+15, 0x0p+0},
+       0x566f66fd026088cULL},
+      {"BkhsMirror", Program::kBkhs, SystemKind::kPregelPlusMirror,
+       0x1.a2d5c09924443p-5, 3, 0x1.528p+11, 0x1.ae0cp+15,
+       {0x1.b8p+10, 0x1.13p+11, 0x1.b5p+10, 0x1.ecp+10},
+       {0x1.68p+8, 0x1.d88p+11, 0x0p+0},
+       0x566f66fd026088cULL},
+      {"BpprSourceBatch", Program::kBpprSourceBatch, SystemKind::kPregelPlus,
+       0x1.36d842ff707e5p-1, 36, 0x1.8158p+13, 0x1.d0c8p+15,
+       {0x1.7cp+12, 0x1.4fp+13, 0x1.ecp+11, 0x1.6p+13},
+       {0x1.4258p+15, 0x1.d42p+14, 0x1.702p+14, 0x1.36ap+14, 0x1.d74p+13,
+        0x1.806p+13, 0x1.2b6p+13, 0x1.cd4p+12, 0x1.72p+12, 0x1.2acp+12,
+        0x1.d38p+11, 0x1.4ap+11, 0x1.298p+11, 0x1.eap+10, 0x1.95p+10,
+        0x1.45p+10, 0x1.31p+10, 0x1.b8p+9, 0x1.68p+9, 0x1.18p+9, 0x1.a4p+8,
+        0x1.68p+8, 0x1.2cp+8, 0x1.2cp+8, 0x1.ep+7, 0x1.18p+7, 0x1.b8p+7,
+        0x1.68p+7, 0x1.4p+6, 0x1.ep+5, 0x1.4p+4, 0x1.4p+5, 0x1.4p+4, 0x1.4p+4,
+        0x1.4p+4, 0x0p+0},
+       0x3741ec85f2205563ULL},
+      {"BpprExact", Program::kBpprExact, SystemKind::kPregelPlus,
+       0x1.c9d8c7f12696dp-1, 53, 0x1.648cp+14, 0x1.12p+16,
+       {0x1.cfcp+13, 0x1.186p+14, 0x1.c7cp+13, 0x1.03ep+14},
+       {0x1.061cp+16, 0x1.a86p+15, 0x1.4c3p+15, 0x1.086p+15, 0x1.98cp+14,
+        0x1.4b9p+14, 0x1.135p+14, 0x1.b4ep+13, 0x1.748p+13, 0x1.23ep+13,
+        0x1.c5cp+12, 0x1.72p+12, 0x1.068p+12, 0x1.e78p+11, 0x1.9ap+11,
+        0x1.428p+11, 0x1.018p+11, 0x1.a4p+10, 0x1.54p+10, 0x1.0ep+10,
+        0x1.9ap+9, 0x1.5ep+9, 0x1.04p+9, 0x1.2cp+9, 0x1.a4p+8, 0x1.7cp+8,
+        0x1.a4p+8, 0x1.68p+8, 0x1.68p+7, 0x1.9p+7, 0x1.4p+4, 0x1.ep+6,
+        0x1.ep+6, 0x1.ep+6, 0x1.ep+6, 0x1.9p+6, 0x1.4p+6, 0x1.4p+6, 0x1.ep+5,
+        0x1.ep+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+4, 0x0p+0,
+        0x1.4p+4, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.4p+4, 0x1.4p+4, 0x0p+0},
+       0x7389f71eb4ba6f83ULL},
+      {"BpprCounting", Program::kBpprCounting, SystemKind::kPregelPlus,
+       0x1.a4a2393cd2eb3p-1, 48, 0x1.6845p+16, 0x1.910cp+17,
+       {0x1.d25p+15, 0x1.16d8p+16, 0x1.caep+15, 0x1.029p+16},
+       {0x1.0c2ap+18, 0x1.aaccp+17, 0x1.58d8p+17, 0x1.124cp+17, 0x1.b6e8p+16,
+        0x1.638cp+16, 0x1.1dp+16, 0x1.c52p+15, 0x1.6aa8p+15, 0x1.257p+15,
+        0x1.d2ep+14, 0x1.748p+14, 0x1.2bbp+14, 0x1.e1ep+13, 0x1.69ep+13,
+        0x1.266p+13, 0x1.ep+12, 0x1.838p+12, 0x1.3bp+12, 0x1.e78p+11,
+        0x1.9ap+11, 0x1.31p+11, 0x1.09p+11, 0x1.a4p+10, 0x1.59p+10, 0x1.2cp+10,
+        0x1.fep+9, 0x1.7cp+9, 0x1.22p+9, 0x1.9p+8, 0x1.18p+8, 0x1.9p+7,
+        0x1.9p+7, 0x1.4p+7, 0x1.4p+6, 0x1.9p+6, 0x1.18p+7, 0x1.4p+6, 0x1.4p+6,
+        0x1.ep+5, 0x1.4p+5, 0x1.ep+5, 0x1.4p+4, 0x1.4p+5, 0x1.4p+4, 0x1.4p+5,
+        0x0p+0, 0x0p+0},
+       0x266a6dc659bda87fULL},
+      {"BpprPerSourceGraphLab", Program::kBpprPerSource, SystemKind::kGraphLab,
+       0x1.954c93a20e08bp-1, 47, 0x1.66a8p+14, 0x1.d56ccccccccccp+16,
+       {0x1.da4p+13, 0x1.0ccp+14, 0x1.d5p+13, 0x1.03ap+14},
+       {0x1.be4p+15, 0x1.f2p+15, 0x1.92fp+15, 0x1.52dp+15, 0x1.08fp+15,
+        0x1.a7p+14, 0x1.566p+14, 0x1.0a4p+14, 0x1.bb4p+13, 0x1.62p+13,
+        0x1.1ap+13, 0x1.b78p+12, 0x1.62p+12, 0x1.1dp+12, 0x1.7dp+11,
+        0x1.6ep+11, 0x1.23p+11, 0x1.d4p+10, 0x1.68p+10, 0x1.26p+10, 0x1.08p+10,
+        0x1.5cp+9, 0x1.5p+9, 0x1.ep+8, 0x1.c8p+8, 0x1.68p+8, 0x1.38p+8,
+        0x1.ep+7, 0x1.08p+8, 0x1.5p+7, 0x1.8p+6, 0x1.2p+6, 0x1.2p+6, 0x1.8p+5,
+        0x1.8p+5, 0x1.8p+5, 0x1.8p+5, 0x1.8p+5, 0x1.8p+4, 0x1.8p+5, 0x1.8p+4,
+        0x1.8p+4, 0x0p+0, 0x1.8p+4, 0x0p+0, 0x1.8p+4, 0x0p+0},
+       0xd748415c2c2e4807ULL},
+      {"BpprPushMirror", Program::kBpprPush, SystemKind::kPregelPlusMirror,
+       0x1.5f129aea131f3p-1, 19, 0x1.517e3p+20, 0x1.40bb86p+24,
+       {0x1.36878p+20, 0x1.63b98p+20, 0x1.2a42p+20, 0x1.560cp+20},
+       {0x1.595ap+17, 0x1.0abf8p+21, 0x1.40758p+19, 0x1.8cb8p+15, 0x1.4c8p+12,
+        0x1.d6p+9, 0x1.18p+8, 0x1.9p+6, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5,
+        0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x1.4p+5, 0x0p+0},
+       0x9733e8c3bd0cac6aULL},
+      {"Mssp", Program::kMssp, SystemKind::kPregelPlus,
+       0x1.25c9c77a23a6cp-3, 7, 0x1.c848p+16, 0x1.04c18p+19,
+       {0x1.08p+13, 0x1.1dep+13, 0x1.f38p+12, 0x1.0fap+13},
+       {0x1.68p+8, 0x1.3bp+15, 0x1.f095p+19, 0x1.48a48p+19, 0x1.e8cp+13,
+        0x1.9p+6, 0x0p+0},
+       0x686a2ea5b2259b5fULL},
+      {"PageRank", Program::kPageRank, SystemKind::kPregelPlus,
+       0x1.b5caad726d669p-3, 11, 0x1.7c5p+17, 0x1.3d48p+17,
+       {0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0},
+       {0x1.1c4cp+18, 0x1.1c4cp+18, 0x1.1c4cp+18, 0x1.1c4cp+18, 0x1.1c4cp+18,
+        0x1.1c4cp+18, 0x1.1c4cp+18, 0x1.1c4cp+18, 0x1.1c4cp+18, 0x1.1c4cp+18,
+        0x0p+0},
+       0x40a28bb726b2551bULL},
+      {"ConnectedComponents", Program::kConnectedComponents,
+       SystemKind::kPregelPlus,
+       0x1.7abe1834cd4fcp-4, 5, 0x1.52a2p+15, 0x1.396p+17,
+       {0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0},
+       {0x1.1c4cp+18, 0x1.139bp+18, 0x1.20cp+16, 0x1.18p+10, 0x0p+0},
+       0xb478affc44abae66ULL},
+  };
+  return runs;
+}
+
+class RecordedRunTest : public ::testing::TestWithParam<RecordedRun> {};
+
+TEST_P(RecordedRunTest, ReproducesRecordedNumbersAtOneAndEightThreads) {
+  const RecordedRun& want = GetParam();
+  for (uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE(threads);
+    const auto [result, answers] =
+        RunRecorded(want.program, want.system, threads);
+    std::vector<double> cross;
+    for (const RoundStats& round : result.rounds) {
+      cross.push_back(round.cross_machine_bytes);
+    }
+    EXPECT_EQ(result.seconds, want.seconds);
+    EXPECT_EQ(result.num_rounds, want.num_rounds);
+    EXPECT_EQ(result.total_messages, want.total_messages);
+    EXPECT_EQ(result.peak_memory_bytes, want.peak_memory_bytes);
+    EXPECT_EQ(result.residual_bytes_per_machine,
+              want.residual_bytes_per_machine);
+    EXPECT_EQ(cross, want.cross_machine_bytes);
+    EXPECT_EQ(answers, want.answers);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProgramsAndProfiles, RecordedRunTest, ::testing::ValuesIn(RecordedRuns()),
+    [](const ::testing::TestParamInfo<RecordedRun>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- Golden behaviours of the SoA compute path -----------------------
 
 EngineOptions GoldenOptions(uint32_t machines, uint32_t threads) {
@@ -470,8 +776,8 @@ TEST(EngineGoldenTest, EmptyInboxRoundTerminatesCleanly) {
   // engine must quiesce without touching the grouping machinery.
   class Silent : public VertexProgram {
    public:
-    void Compute(VertexId, std::span<const Message>,
-                 MessageSink&) override {}
+    void Seed(VertexId, MessageSink&) override {}
+    void ComputeRun(VertexId, const MessageRunView&, MessageSink&) override {}
   };
   Graph ring = GenerateRing(16, 1);
   Partitioning part = HashPartitioner().Partition(ring, 2);
@@ -484,9 +790,9 @@ TEST(EngineGoldenTest, EmptyInboxRoundTerminatesCleanly) {
 }
 
 TEST(EngineGoldenTest, SingleMachineClusterUsesSwapDelivery) {
-  // One machine means every round's inbox has exactly one sender, and
-  // every message stays local. PageRank must still conserve rank mass,
-  // identically for any thread count.
+  // One machine means every round's inbox has exactly one sender (its
+  // own shard arenas), and every message stays local. PageRank must still
+  // conserve rank mass, identically for any thread count.
   Graph ring = GenerateRing(128, 2);
   Partitioning part = HashPartitioner().Partition(ring, 1);
   auto run = [&](uint32_t threads) {
@@ -510,7 +816,7 @@ TEST(EngineGoldenTest, SingleMachineClusterUsesSwapDelivery) {
 
 TEST(EngineGoldenTest, AllVerticesActiveBitIdenticalAcrossThreads) {
   // PageRank keeps every vertex active every round: the grouper sees a
-  // single tag with n >= V, i.e. the dense counting-sort strategy. Final
+  // single tag with n >= V, so every local vertex has a run. Final
   // per-vertex ranks must be bitwise equal for any thread count.
   auto run = [](uint32_t threads) {
     RmatParams rmat;
@@ -545,8 +851,8 @@ TEST(EngineGoldenTest, AllVerticesActiveBitIdenticalAcrossThreads) {
 TEST(EngineGoldenTest, SparseActivityBitIdenticalAcrossThreads) {
   // MSSP from two sources on a long ring: each round only the wavefront
   // (a handful of vertices) receives messages, so the grouper sees
-  // n << V — the sparse pair-sort strategy. Distances must be identical
-  // for any thread count.
+  // n << V and most shards are empty. Distances must be identical for
+  // any thread count.
   auto run = [](uint32_t threads) {
     static const Graph& graph = *new Graph(GenerateRing(512, 1));
     static const Partitioning& part =
@@ -577,37 +883,7 @@ TEST(EngineGoldenTest, SparseActivityBitIdenticalAcrossThreads) {
   }
 }
 
-/// Delegates to a wrapped program but reports UsesComputeRun() == false,
-/// forcing the engine down the materialized AoS fallback path. Running
-/// the same program both ways must give bitwise-identical results.
-class ForceFallback : public VertexProgram {
- public:
-  explicit ForceFallback(VertexProgram& inner) : inner_(inner) {}
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override {
-    inner_.Compute(v, inbox, sink);
-  }
-  bool UsesComputeRun() const override { return false; }
-  bool ShouldTerminate(uint64_t rounds_completed) const override {
-    return inner_.ShouldTerminate(rounds_completed);
-  }
-  bool TerminateOnAggregate(double aggregate_sum) const override {
-    return inner_.TerminateOnAggregate(aggregate_sum);
-  }
-  double StateBytes(uint32_t machine) const override {
-    return inner_.StateBytes(machine);
-  }
-  double ResidualBytes(uint32_t machine) const override {
-    return inner_.ResidualBytes(machine);
-  }
-  bool combinable() const override { return inner_.combinable(); }
-
- private:
-  VertexProgram& inner_;
-};
-
-std::pair<EngineResult, uint64_t> RunCountingBppr(bool force_fallback,
-                                                  uint32_t threads) {
+std::pair<EngineResult, uint64_t> RunCountingBppr(uint32_t threads) {
   RmatParams rmat;
   rmat.num_vertices = 3000;
   rmat.num_edges = 20000;
@@ -618,32 +894,22 @@ std::pair<EngineResult, uint64_t> RunCountingBppr(bool force_fallback,
   SyncEngine engine(graph, part, GoldenOptions(4, threads));
   TaskContext context{&graph, &part, 1.0, true};
   BpprCountingProgram program(context, /*walks=*/64, {}, /*seed=*/3);
-  Result<EngineResult> result = [&] {
-    if (force_fallback) {
-      ForceFallback wrapped(program);
-      return engine.Run(wrapped);
-    }
-    return engine.Run(program);
-  }();
+  auto result = engine.Run(program);
   EXPECT_TRUE(result.ok());
   return {result.value_or(EngineResult{}), program.TotalStopped()};
 }
 
-TEST(EngineGoldenTest, FallbackPathBitIdenticalToComputeRun) {
-  // The stochastic program is the hard case: any divergence in fold
-  // order between ComputeRun and the materialized fallback would shift
-  // RNG draws and change every later round. Both paths, at every thread
-  // count, must match the serial ComputeRun run exactly.
-  auto [golden, golden_stopped] = RunCountingBppr(false, 1);
+TEST(EngineGoldenTest, StochasticWalksBitIdenticalAcrossThreads) {
+  // The stochastic program is the hard case: any divergence in fold or
+  // vertex order across shards would shift RNG draws and change every
+  // later round. Every thread count must match the serial run exactly.
+  auto [golden, golden_stopped] = RunCountingBppr(1);
   EXPECT_GT(golden.num_rounds, 1u);
   EXPECT_GT(golden_stopped, 0u);
   for (uint32_t threads : {1u, 2u, 8u}) {
-    for (bool fallback : {false, true}) {
-      auto [result, stopped] = RunCountingBppr(fallback, threads);
-      ExpectBitIdentical(golden, result);
-      EXPECT_EQ(golden_stopped, stopped)
-          << "threads=" << threads << " fallback=" << fallback;
-    }
+    auto [result, stopped] = RunCountingBppr(threads);
+    ExpectBitIdentical(golden, result);
+    EXPECT_EQ(golden_stopped, stopped) << "threads=" << threads;
   }
 }
 

@@ -1,9 +1,9 @@
 // Tests of the vertex-sharded compute phase: the work-stealing parallel
 // loop, the single thread-resolution policy both engines share, and the
 // regression at the heart of the shard design — results are bit-identical
-// across thread counts AND shard counts AND stealing on/off, even when
-// one machine owns almost all of the inbox (the skew that motivates
-// stealing in the first place).
+// across thread counts AND shard counts, even when one machine owns
+// almost all of the inbox (the skew that motivates stealing in the first
+// place).
 
 #include <gtest/gtest.h>
 
@@ -161,10 +161,10 @@ TEST(ShardSkewFixtureTest, MachineZeroReceivesOverEightyPercent) {
   EXPECT_GT(SkewedFixture::Get().FractionTargetingMachine0(), 0.8);
 }
 
-// --- Sync engine: bit-identical across threads × shards × stealing ---
+// --- Sync engine: bit-identical across threads × shards --------------
 
 EngineResult RunSkewedBatch(SystemKind system, uint32_t threads,
-                            uint32_t shards, bool stealing) {
+                            uint32_t shards) {
   const SkewedFixture& fx = SkewedFixture::Get();
   EngineOptions options;
   options.cluster = RelaxedCluster(kSkewMachines);
@@ -172,7 +172,6 @@ EngineResult RunSkewedBatch(SystemKind system, uint32_t threads,
   options.execution_threads = threads;
   options.clamp_threads_to_hardware = false;  // Exercise the exact count.
   options.compute_shards_per_machine = shards;
-  options.enable_work_stealing = stealing;
   SyncEngine engine(fx.graph, fx.partition, options);
 
   TaskContext context{&fx.graph, &fx.partition, 1.0,
@@ -214,23 +213,20 @@ void ExpectBitIdentical(const EngineResult& a, const EngineResult& b) {
 
 TEST(ShardDeterminismTest, SkewedInboxIdenticalAcrossThreadsShardsStealing) {
   // The full matrix from the determinism contract: every thread count in
-  // {1, 2, 4, 8} × every shard count in {1, 4, 64} × stealing on/off must
-  // reproduce the single-thread single-shard run bit for bit — for the
-  // plain profile and for GraphLab, whose wire count comes from the
+  // {1, 2, 4, 8} × every shard count in {1, 4, 64}, each run stealing,
+  // must reproduce the single-thread single-shard run bit for bit — for
+  // the plain profile and for GraphLab, whose wire count comes from the
   // per-(sender, destination) key tally.
   for (SystemKind system : {SystemKind::kPregelPlus, SystemKind::kGraphLab}) {
-    const EngineResult baseline = RunSkewedBatch(system, 1, 1, false);
+    const EngineResult baseline = RunSkewedBatch(system, 1, 1);
     EXPECT_GT(baseline.num_rounds, 1u);
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
       for (uint32_t shards : {1u, 4u, 64u}) {
-        for (bool stealing : {false, true}) {
-          if (threads == 1 && shards == 1 && !stealing) continue;
-          SCOPED_TRACE(testing::Message()
-                       << ProfileFor(system).name << " threads=" << threads
-                       << " shards=" << shards << " stealing=" << stealing);
-          ExpectBitIdentical(
-              baseline, RunSkewedBatch(system, threads, shards, stealing));
-        }
+        if (threads == 1 && shards == 1) continue;
+        SCOPED_TRACE(testing::Message()
+                     << ProfileFor(system).name << " threads=" << threads
+                     << " shards=" << shards);
+        ExpectBitIdentical(baseline, RunSkewedBatch(system, threads, shards));
       }
     }
   }
@@ -239,37 +235,32 @@ TEST(ShardDeterminismTest, SkewedInboxIdenticalAcrossThreadsShardsStealing) {
 TEST(ShardDeterminismTest, MirrorProfileIdenticalOnSkewedInbox) {
   // Broadcast + mirror delivery exercises the mirror merge path.
   const EngineResult baseline =
-      RunSkewedBatch(SystemKind::kPregelPlusMirror, 1, 1, false);
+      RunSkewedBatch(SystemKind::kPregelPlusMirror, 1, 1);
   EXPECT_GT(baseline.num_rounds, 1u);
   for (uint32_t threads : {1u, 4u}) {
     for (uint32_t shards : {4u, 64u}) {
-      for (bool stealing : {false, true}) {
-        SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                        << " shards=" << shards
-                                        << " stealing=" << stealing);
-        ExpectBitIdentical(baseline,
-                           RunSkewedBatch(SystemKind::kPregelPlusMirror,
-                                          threads, shards, stealing));
-      }
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " shards=" << shards);
+      ExpectBitIdentical(baseline, RunSkewedBatch(SystemKind::kPregelPlusMirror,
+                                                  threads, shards));
     }
   }
 }
 
 TEST(ShardDeterminismTest, OutOfCoreProfileIdenticalOnSkewedInbox) {
   // GraphD's plain (no combiner, no mirrors) merge path.
-  const EngineResult baseline =
-      RunSkewedBatch(SystemKind::kGraphD, 1, 1, false);
+  const EngineResult baseline = RunSkewedBatch(SystemKind::kGraphD, 1, 1);
   EXPECT_GT(baseline.num_rounds, 1u);
   for (uint32_t shards : {4u, 64u}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
     ExpectBitIdentical(baseline,
-                       RunSkewedBatch(SystemKind::kGraphD, 8, shards, true));
+                       RunSkewedBatch(SystemKind::kGraphD, 8, shards));
   }
 }
 
 // --- GAS engine: sharded sync Process loop ---------------------------
 
-GasResult RunGasSkewed(uint32_t threads, uint32_t shards, bool stealing,
+GasResult RunGasSkewed(uint32_t threads, uint32_t shards,
                        uint64_t* total_stopped) {
   const SkewedFixture& fx = SkewedFixture::Get();
   GasOptions options;
@@ -278,7 +269,6 @@ GasResult RunGasSkewed(uint32_t threads, uint32_t shards, bool stealing,
   options.execution_threads = threads;
   options.clamp_threads_to_hardware = false;
   options.compute_shards = shards;
-  options.enable_work_stealing = stealing;
   GasBpprWalks program(fx.graph, fx.partition, /*walks_per_vertex=*/32,
                        GasBpprWalks::Params{}, /*seed=*/13);
   GasEngine engine(fx.graph, fx.partition, options);
@@ -305,21 +295,17 @@ void ExpectGasIdentical(const GasResult& a, const GasResult& b) {
 
 TEST(ShardDeterminismTest, GasSyncIdenticalAcrossThreadsShardsStealing) {
   uint64_t baseline_stopped = 0;
-  const GasResult baseline = RunGasSkewed(1, 1, false, &baseline_stopped);
+  const GasResult baseline = RunGasSkewed(1, 1, &baseline_stopped);
   EXPECT_GT(baseline.passes, 1u);
   EXPECT_GT(baseline_stopped, 0u);
   for (uint32_t threads : {1u, 8u}) {
     for (uint32_t shards : {1u, 4u, 64u}) {
-      for (bool stealing : {false, true}) {
-        if (threads == 1 && shards == 1 && !stealing) continue;
-        SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                        << " shards=" << shards
-                                        << " stealing=" << stealing);
-        uint64_t stopped = 0;
-        ExpectGasIdentical(baseline,
-                           RunGasSkewed(threads, shards, stealing, &stopped));
-        EXPECT_EQ(stopped, baseline_stopped);
-      }
+      if (threads == 1 && shards == 1) continue;
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " shards=" << shards);
+      uint64_t stopped = 0;
+      ExpectGasIdentical(baseline, RunGasSkewed(threads, shards, &stopped));
+      EXPECT_EQ(stopped, baseline_stopped);
     }
   }
 }
@@ -352,7 +338,7 @@ TEST(ThreadClampTest, SyncEngineClampedRequestMatchesHardwareRun) {
     return result.value_or(EngineResult{});
   }();
   ExpectBitIdentical(clamped,
-                     RunSkewedBatch(SystemKind::kPregelPlus, hw, 0, true));
+                     RunSkewedBatch(SystemKind::kPregelPlus, hw, 0));
 }
 
 TEST(ThreadClampTest, GasEngineClampedRequestMatchesHardwareRun) {
@@ -369,7 +355,7 @@ TEST(ThreadClampTest, GasEngineClampedRequestMatchesHardwareRun) {
   auto clamped = engine.Run(clamped_program);
   ASSERT_TRUE(clamped.ok());
   uint64_t stopped = 0;
-  const GasResult reference = RunGasSkewed(hw, 0, true, &stopped);
+  const GasResult reference = RunGasSkewed(hw, 0, &stopped);
   ExpectGasIdentical(clamped.value(), reference);
   EXPECT_EQ(clamped_program.TotalStopped(), stopped);
 }

@@ -37,14 +37,6 @@ TEST(WorkerTest, GroupInboxSortsByTargetThenTag) {
   EXPECT_DOUBLE_EQ(worker.grouped_values()[runs[1].begin], 20.0);
   EXPECT_DOUBLE_EQ(worker.grouped_values()[runs[2].begin], 30.0);
   EXPECT_DOUBLE_EQ(worker.grouped_values()[runs[3].begin], 10.0);
-  // The AoS fallback view materializes the same grouped order.
-  const std::span<const Message> aos = worker.MaterializedInbox();
-  ASSERT_EQ(aos.size(), 4u);
-  EXPECT_EQ(aos[0].target, 1u);
-  EXPECT_EQ(aos[0].tag, 1u);
-  EXPECT_DOUBLE_EQ(aos[0].value, 40.0);
-  EXPECT_EQ(aos[2].target, 3u);
-  EXPECT_DOUBLE_EQ(aos[2].value, 30.0);
 }
 
 TEST(SyncEngineTest, LocalNumberingAscendsWithVertexIdForEveryPartitioner) {
@@ -111,21 +103,17 @@ class HopProgram : public VertexProgram {
   HopProgram(const Graph& graph, uint32_t hops)
       : graph_(graph), hops_(hops), received_(graph.NumVertices(), 0) {}
 
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override {
-    if (sink.round() == 0) {
-      if (v == 0) {
-        for (VertexId u : graph_.Neighbors(v)) {
-          sink.Send(u, 0, 1.0, 1.0);
-        }
-      }
-      return;
-    }
-    for (const Message& message : inbox) {
+  void Seed(VertexId v, MessageSink& sink) override {
+    if (v != 0) return;
+    for (VertexId u : graph_.Neighbors(v)) sink.Send(u, 0, 1.0, 1.0);
+  }
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override {
+    for (size_t i = 0; i < run.count; ++i) {
       received_[v] += 1;
-      if (static_cast<uint32_t>(message.value) < hops_) {
+      if (static_cast<uint32_t>(run.values[i]) < hops_) {
         for (VertexId u : graph_.Neighbors(v)) {
-          sink.Send(u, 0, message.value + 1.0, 1.0);
+          sink.Send(u, 0, run.values[i] + 1.0, 1.0);
         }
       }
     }
@@ -191,9 +179,12 @@ TEST(SyncEngineTest, MaxRoundsCapsExecution) {
   // An infinite ping-pong program would never quiesce; the cap stops it.
   class PingPong : public VertexProgram {
    public:
-    void Compute(VertexId v, std::span<const Message>,
-                 MessageSink& sink) override {
+    void Seed(VertexId v, MessageSink& sink) override {
       sink.Send(v == 0 ? 1 : 0, 0, 1.0, 1.0);
+    }
+    void ComputeRun(VertexId v, const MessageRunView&,
+                    MessageSink& sink) override {
+      Seed(v, sink);
     }
   };
   Graph ring = GenerateRing(4, 1);
@@ -237,13 +228,12 @@ class BroadcastOnce : public VertexProgram {
  public:
   explicit BroadcastOnce(const Graph& graph)
       : received_(graph.NumVertices(), 0.0) {}
-  void Compute(VertexId v, std::span<const Message> inbox,
-               MessageSink& sink) override {
-    if (sink.round() == 0) {
-      sink.Broadcast(v, 0, 1.0, 1.0);
-      return;
-    }
-    for (const Message& message : inbox) received_[v] += message.value;
+  void Seed(VertexId v, MessageSink& sink) override {
+    sink.Broadcast(v, 0, 1.0, 1.0);
+  }
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink&) override {
+    received_[v] += run.SumValues();
   }
   double ReceivedAt(VertexId v) const { return received_[v]; }
 
