@@ -96,8 +96,6 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
     engine_options.carryover_residual_bytes = carryover;
     engine_options.max_rounds = options_.max_rounds;
     engine_options.execution_threads = options_.execution_threads;
-    engine_options.clamp_threads_to_hardware =
-        options_.clamp_threads_to_hardware;
     engine_options.collect_phase_times = options_.collect_phase_times;
     engine_options.checkpoint_interval_rounds =
         options_.checkpoint_interval_rounds;

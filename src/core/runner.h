@@ -46,14 +46,9 @@ struct RunnerOptions {
   uint64_t max_rounds = 4096;
   /// Compute/delivery threads per engine run (results are thread-count
   /// invariant; see EngineOptions::execution_threads). 0 = auto: one
-  /// thread per hardware core.
+  /// thread per hardware core. The engine caps the count at the hardware
+  /// concurrency.
   uint32_t execution_threads = 0;
-  /// Passed through to EngineOptions::clamp_threads_to_hardware. True
-  /// (the default) silently caps execution_threads at the hardware
-  /// concurrency; benchmarks that must measure the *requested*
-  /// configuration (e.g. an 8-thread sweep on a small CI box) set it
-  /// false and record both numbers.
-  bool clamp_threads_to_hardware = true;
   /// Pregel checkpointing every N rounds (0 = off); applied per batch.
   uint64_t checkpoint_interval_rounds = 0;
   /// Collect real per-phase engine times (see EngineOptions).

@@ -333,6 +333,16 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   if (partition_.assignment.size() != graph_.NumVertices()) {
     return Status::InvalidArgument("partition does not cover the graph");
   }
+  // The superstep engine prices no locking and no async message
+  // inflation, so an async profile here would run barrier-free rounds
+  // with no combining: a model that reverses the paper's Table 4.
+  if (!options_.profile.synchronous) {
+    return Status::InvalidArgument(
+        options_.profile.name +
+        " is asynchronous: SyncEngine runs only synchronous profiles; "
+        "asynchronous execution is modelled by GasEngine "
+        "(bench/table4_async_vs_sync)");
+  }
 
   // Real out-of-core runtime: fresh per Run (spill files and caches are
   // round-lifecycle state), validated against the infeasible floor.

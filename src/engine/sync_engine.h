@@ -186,8 +186,9 @@ struct EngineResult {
 /// Executes a VertexProgram over a partitioned graph with real message
 /// routing between per-machine workers, and prices each round through the
 /// cost model. One class serves Pregel+, Giraph (profile multipliers),
-/// GraphD (out-of-core costing) and Pregel+(mirror) (broadcast routing via
-/// a MirrorPlan).
+/// GraphD (out-of-core costing), Pregel+(mirror) (broadcast routing via
+/// a MirrorPlan) and synchronous GraphLab. Asynchronous profiles are
+/// GasEngine's; Run rejects them.
 ///
 /// The engine is immutable after construction and Run is const: every
 /// mutable run artifact (message buffers, staging arenas, the out-of-core
@@ -212,7 +213,7 @@ class SyncEngine {
   /// and reusable buffers. One context per in-flight query; the same
   /// context may be reused across a query's batches. Returns
   /// InvalidArgument when the partition does not match the cluster in
-  /// `options`.
+  /// `options` or the profile is not synchronous.
   Result<EngineResult> Run(VertexProgram& program, QueryContext& ctx) const;
 
   const EngineOptions& options() const { return options_; }

@@ -65,6 +65,23 @@ TEST(EngineEdgeCaseTest, RoundStatsTraceIsComplete) {
                    messages / result.value().num_rounds);
 }
 
+TEST(EngineEdgeCaseTest, RejectsAnAsynchronousProfile) {
+  // GasEngine models asynchronous scheduling; the superstep engine would
+  // run GraphLab(async) as barrier-free rounds without its lock costs.
+  Graph ring = GenerateRing(32, 1);
+  Partitioning part = HashPartitioner().Partition(ring, 2);
+  TaskContext context{&ring, &part, 1.0, false};
+  EngineOptions options;
+  options.cluster = RelaxedCluster(2);
+  options.profile = ProfileFor(SystemKind::kGraphLabAsync);
+  PageRankProgram program(context, PageRankProgram::Params{});
+  SyncEngine engine(ring, part, options);
+  auto result = engine.Run(program);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("GasEngine"), std::string::npos);
+}
+
 TEST(EngineEdgeCaseTest, IsolatedVerticesQuiesceImmediately) {
   // A graph with no edges: the seed round runs, nothing is sent, the
   // engine stops after one round.

@@ -229,5 +229,19 @@ TEST(RunnerTest, AllSupersteppingSystemsExecuteBppr) {
   }
 }
 
+TEST(RunnerTest, RejectsAnAsynchronousProfile) {
+  // GraphLab(async) runs on GasEngine only (bench/table4_async_vs_sync).
+  Dataset dataset = TinyDataset();
+  RunnerOptions options = RelaxedRunner(4);
+  options.system = SystemKind::kGraphLabAsync;
+  MultiProcessingRunner runner(dataset, options);
+  BpprTask task;
+  auto report = runner.Run(task, BatchSchedule::Equal(8, 2));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("table4_async_vs_sync"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace vcmp

@@ -79,7 +79,7 @@ int Main(int argc, char** argv) {
   flags.Define("task", "BPPR", "BPPR | MSSP | BKHS | PageRank");
   flags.Define("system", "Pregel+",
                "Giraph | Giraph(async) | Pregel+ | Pregel+(mirror) | "
-               "GraphD | GraphLab | GraphLab(async)");
+               "GraphD | GraphLab");
   flags.Define("cluster", "galaxy", "galaxy | galaxy27 | docker");
   flags.Define("machines", "0", "override the cluster's machine count");
   flags.Define("workload", "1024", "total workload W");
