@@ -28,6 +28,12 @@ struct Message {
   double multiplicity = 1.0;
 };
 
+/// The fold a program applies to each (target, tag) run of its inbox
+/// (VertexProgram::fold): none declared, a left-to-right sum from +0.0,
+/// or a minimum that keeps the first of equal values. Values are never
+/// NaN.
+enum class MessageFold : uint8_t { kNone, kSum, kMin };
+
 }  // namespace vcmp
 
 #endif  // VCMP_ENGINE_MESSAGE_H_

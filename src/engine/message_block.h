@@ -10,9 +10,9 @@
 
 namespace vcmp {
 
-/// One contiguous (target, tag) group produced by inbox grouping:
-/// payload elements [begin, end) of the worker's grouped value /
-/// multiplicity columns. Runs tile the grouped inbox in ascending
+/// One contiguous (target, tag) group produced by receiving an inbox:
+/// elements [begin, end) of the worker's received value column (one
+/// element when the inbox was folded). Runs tile the column in ascending
 /// (target, tag) order, so consecutive runs with equal `target` are the
 /// per-tag groups of one vertex.
 struct MessageRun {
@@ -28,10 +28,9 @@ struct MessageRun {
 /// columns sharing one size/capacity.
 ///
 /// This is the engine's replacement for `std::vector<Message>` staging
-/// arenas and inboxes. The column layout means grouping and delivery move
-/// 4- and 8-byte lanes instead of 24-byte structs, and the payload
-/// columns (`values`/`multiplicities`) can be handed to task kernels as
-/// contiguous arrays. Capacity only grows (geometric, epoch-arena
+/// arenas and inboxes. The column layout means receiving and delivery
+/// move 4- and 8-byte lanes instead of 24-byte structs, and each pass
+/// reads only the columns it needs. Capacity only grows (geometric, epoch-arena
 /// style): Clear() keeps the allocation, so steady-state rounds perform
 /// no per-round reallocation.
 class MessageBlock {

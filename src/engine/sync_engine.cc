@@ -379,14 +379,15 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   const bool collect_times = options_.collect_phase_times;
   // Combining is a count, not a fold (DESIGN.md §16): when the modeled
   // system merges same-(target, tag) messages at the sender (GraphLab
-  // sync) and the program's messages may be merged, phase C counts each
+  // sync) and the program declares a fold, phase C counts each
   // (sender, destination) pair's distinct keys as its wire messages.
-  // Receivers still group the raw arenas, so task answers do not depend
-  // on the profile. `combining` is the one flag every stats/cost branch
-  // keys on, so the counts flow into RoundLoad, spill accounting and the
-  // batcher's fits.
+  // Receivers fold or group the raw arenas in arrival order under every
+  // profile, so task answers do not depend on it. `combining` is the one
+  // flag every stats/cost branch keys on, so the counts flow into
+  // RoundLoad, spill accounting and the batcher's fits.
+  const MessageFold fold = program.fold();
   const bool combining =
-      options_.profile.combines_messages && program.combinable();
+      options_.profile.combines_messages && fold != MessageFold::kNone;
   scratch.wire_keys.resize(
       combining ? static_cast<size_t>(machines) * machines : 0);
   for (uint32_t machine = 0; machine < machines; ++machine) {
@@ -490,11 +491,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     bool any_messages_pending = false;
     const uint64_t compute_start_ns = wallclock::NowNs();
 
-    // --- Phase A: per-machine prep (group, receive fold, shard plan) ---
-    // Grouping and the inbox receive fold are serial per machine — the
-    // same order at every thread and shard count — and machines are
-    // independent. Grouping reads last round's arenas here, before phase
-    // B's BeginRound clears them.
+    // --- Phase A: per-machine prep (receive, shard plan) ---
+    // Receiving (folding or grouping the inbox, summing its
+    // multiplicities) is serial per machine — the same order at every
+    // thread and shard count — and machines are independent. It reads
+    // last round's arenas here, before phase B's BeginRound clears them.
     auto prep_machine = [&](uint32_t machine) {
       Worker& worker = workers[machine];
       ShardPlan& plan = plans[machine];
@@ -522,21 +523,17 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         return;
       }
       if (rt != nullptr) {
-        // Stream last round's spilled overflow back in before grouping;
-        // restored messages append after the resident ones, and grouping
-        // sorts the union, so the grouped inbox is bit-identical to the
-        // uncapped run's.
+        // Stream last round's spilled overflow back in before receiving;
+        // restored messages append after the resident ones, which
+        // restores the uncapped arrival order, so the received inbox is
+        // bit-identical to the uncapped run's.
         rt->RestoreInbox(machine, &worker.inbox());
-        worker.GroupInbox();
+        worker.FoldInbox(fold);
       } else {
-        worker.GroupInbox(sent_to[machine]);
+        worker.FoldInbox(sent_to[machine], fold);
       }
       MachineRoundLoad& load = loads[machine];
-      const double* mults = worker.grouped_multiplicities();
-      const size_t inbox_size = worker.grouped_size();
-      for (size_t i = 0; i < inbox_size; ++i) {
-        load.recv_messages += mults[i];
-      }
+      load.recv_messages = worker.received_multiplicity();
       if (combining) {
         // Wire units: what was actually serialized/deserialized — the
         // distinct keys last round's tally counted per sender (integers,
@@ -565,10 +562,10 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     // runs() is the round's sparse frontier: only vertices with messages
     // appear, in ascending (target, tag) order. Each shard executes its
     // contiguous vertex range into its own arenas/logs, one ComputeRun per
-    // (vertex, tag) run with the payload handed over as contiguous
-    // columns; a vertex's log record and random stream open at its first
-    // run. Work stealing only changes which thread runs a shard, never
-    // what the shard writes.
+    // (vertex, tag) run with its values (or its one folded value) handed
+    // over as a contiguous column; a vertex's log record and random
+    // stream open at its first run. Work stealing only changes which
+    // thread runs a shard, never what the shard writes.
     auto run_shard = [&](uint32_t task) {
       const uint32_t machine = task / shards_per_machine;
       const uint32_t shard = task % shards_per_machine;
@@ -589,16 +586,14 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       const Worker& worker = workers[machine];
       const std::span<const MessageRun> runs = worker.runs();
       const double* values = worker.grouped_values();
-      const double* mults = worker.grouped_multiplicities();
       for (uint32_t r = begin; r < end; ++r) {
         const MessageRun& run = runs[r];
         if (r == begin || run.target != runs[r - 1].target) {
           sink.BeginVertex(run.target);
         }
-        program.ComputeRun(run.target,
-                           MessageRunView{run.tag, values + run.begin,
-                                          mults + run.begin, run.size()},
-                           sink);
+        program.ComputeRun(
+            run.target,
+            MessageRunView{run.tag, values + run.begin, run.size()}, sink);
       }
     };
     pool.ParallelForStealable(num_shard_tasks, run_shard);
@@ -982,13 +977,13 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
 
     // --- Deliver: only the out-of-core path materializes an inbox ---
-    // Everywhere else next round's phase A groups sent_to in place. Under
-    // OOC the resident-message cap cuts the sender-major concatenation
-    // at an arbitrary point: the prefix stays resident and the suffix
-    // pages to the spill file. At most one segment straddles the cut, so
-    // resident ++ restored reproduces the uncapped inbox order byte for
-    // byte (and the stable grouping then folds identical payload
-    // orders).
+    // Everywhere else next round's phase A receives sent_to in place.
+    // Under OOC the resident-message cap cuts the sender-major
+    // concatenation at an arbitrary point: the prefix stays resident and
+    // the suffix pages to the spill file. At most one segment straddles
+    // the cut, so resident ++ restored reproduces the uncapped inbox order
+    // byte for byte (and the receive then folds or groups identical
+    // arrival orders).
     const uint64_t deliver_start_ns = wallclock::NowNs();
     if (rt != nullptr) {
       pool.ParallelFor(machines, [&sent_to, &workers, rt](uint32_t dest) {

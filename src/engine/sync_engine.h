@@ -112,7 +112,7 @@ struct EngineOptions {
 /// multithreading.
 struct EnginePhaseTimes {
   double compute_seconds = 0.0;  // Superstep compute (includes group/stage).
-  double group_seconds = 0.0;    // Worker::GroupInbox busy time.
+  double group_seconds = 0.0;    // Worker::FoldInbox busy time.
   double stage_seconds = 0.0;    // Cross-traffic tally busy time.
   double deliver_seconds = 0.0;  // Out-of-core inbox delivery.
 };
@@ -251,9 +251,9 @@ class SyncEngine {
   std::vector<double> edge_stream_bytes_;    // Per machine (OOC).
   std::vector<std::vector<VertexId>> vertices_by_machine_;
   /// local_index_[v] = position of v within vertices_by_machine_[its
-  /// machine] — the dense per-machine vertex numbering the grouper keys
-  /// on. Ascending in v within each machine, which keeps grouped order
-  /// equal to global (target, tag) order.
+  /// machine] — the dense per-machine vertex numbering the receive path
+  /// keys on. Ascending in v within each machine, which keeps local key
+  /// order equal to global (target, tag) order.
   std::vector<uint32_t> local_index_;
 };
 

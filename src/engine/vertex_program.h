@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/rng.h"
+#include "engine/message.h"
 #include "graph/graph.h"
 
 namespace vcmp {
@@ -53,13 +54,14 @@ class MessageSink {
 };
 
 /// One contiguous (vertex, tag) message run, straight out of the
-/// worker's grouped SoA columns. `values[i]` / `multiplicities[i]` for
-/// i in [0, count) are the run's messages in the engine's deterministic
-/// grouping order (stable by arrival).
+/// worker's received value column. `values[i]` for i in [0, count) are
+/// the run's message values in arrival order, or, when the program
+/// declares a fold the engine applied on arrival, the one folded value
+/// (count == 1). Multiplicities are the engine's accounting and do not
+/// reach programs.
 struct MessageRunView {
   uint32_t tag = 0;
   const double* values = nullptr;
-  const double* multiplicities = nullptr;
   size_t count = 0;
 
   /// Left-to-right sum of the run's values — the fold most tasks
@@ -75,14 +77,15 @@ struct MessageRunView {
 ///
 /// Round 0 calls Seed once for every vertex (the seeding superstep). Every
 /// later round calls ComputeRun only for vertices that received messages
-/// — the vote-to-halt default — once per (vertex, tag) run of the grouped
-/// inbox, in ascending (target, tag) order: a vertex's runs arrive
-/// back to back, each tag once. A program folds each run on its own (a
-/// sum, a min, a per-message scan); the run's payload keeps arrival order,
-/// so the fold's order is fixed by the engine's grouping, never by shards
-/// or threads. The engine opens a vertex's log record and random stream
-/// at its first run. The engine terminates when a round sends no
-/// messages, when the program requests termination, or at the round cap.
+/// — the vote-to-halt default — once per (vertex, tag) run of the
+/// received inbox, in ascending (target, tag) order: a vertex's runs
+/// arrive back to back, each tag once. A program folds each run on its
+/// own (a sum, a min, a per-message scan); the run's payload keeps
+/// arrival order, so the fold's order is fixed by the senders' order,
+/// never by shards or threads. The engine opens a vertex's log record and
+/// random stream at its first run. The engine terminates when a round
+/// sends no messages, when the program requests termination, or at the
+/// round cap.
 class VertexProgram {
  public:
   virtual ~VertexProgram() = default;
@@ -117,12 +120,18 @@ class VertexProgram {
     return 0.0;
   }
 
-  /// True when messages with equal (target, tag) may be merged at the
-  /// sender without changing the result (the receiver folds each run
-  /// with a sum or a min). A combining system (GraphLab sync) then sends
-  /// one wire message per distinct key and sender; the engine counts
-  /// those keys and folds nothing (DESIGN.md §16).
-  virtual bool combinable() const { return false; }
+  /// The fold ComputeRun applies to every run's values, when it is one
+  /// the engine can apply as messages arrive: kSum when ComputeRun reads
+  /// a run only through the left-to-right sum from +0.0 (SumValues), kMin
+  /// when only through its minimum (ties keep the first value). The
+  /// engine may then hand ComputeRun a single-value run holding that
+  /// fold, computed in the same order, so the program's own fold of it
+  /// returns the same bits (DESIGN.md §11). A program whose result
+  /// depends on run length or on individual values declares kNone and
+  /// always sees every message. A declared fold also lets a combining
+  /// system (GraphLab sync) merge messages with equal (target, tag) at
+  /// the sender; the engine counts those keys (DESIGN.md §16).
+  virtual MessageFold fold() const { return MessageFold::kNone; }
 };
 
 }  // namespace vcmp

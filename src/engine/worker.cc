@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/wall_clock.h"
 
 namespace vcmp {
 namespace {
 
-/// Grouping-time diagnostics only (group_ns, off by default); never feeds
+/// Receive-time diagnostics only (group_ns, off by default); never feeds
 /// reports or traces, so it reads the one sanctioned wall-clock seam
 /// instead of std::chrono directly.
 inline uint64_t NowNs() { return wallclock::NowNs(); }
@@ -22,7 +23,7 @@ constexpr int kMinDigitBits = 8;
 
 /// Calls sink(i, key) for every message of the segment concatenation, in
 /// arrival order, with key = local(target) << tag_bits | tag.
-template <bool kNumbered, typename Sink>
+template <typename Sink>
 void ForEachKey(std::span<const MessageBlock* const> segments,
                 const uint32_t* local_index, int tag_bits, Sink&& sink) {
   size_t i = 0;
@@ -31,28 +32,22 @@ void ForEachKey(std::span<const MessageBlock* const> segments,
     const uint32_t* tags = segment->tags();
     const size_t m = segment->size();
     for (size_t j = 0; j < m; ++j, ++i) {
-      const uint64_t local = kNumbered ? local_index[targets[j]] : targets[j];
+      const uint64_t local = local_index[targets[j]];
       sink(i, (local << tag_bits) | tags[j]);
     }
   }
 }
 
-/// Copies the payload of the segment concatenation to grouped slots:
+/// Copies the values of the segment concatenation to grouped slots:
 /// arrival index i lands at position_of(i).
 template <typename PositionOf>
-void ScatterPayload(std::span<const MessageBlock* const> segments,
-                    double* out_values, double* out_mults,
-                    PositionOf&& position_of) {
+void ScatterValues(std::span<const MessageBlock* const> segments,
+                   double* out_values, PositionOf&& position_of) {
   size_t i = 0;
   for (const MessageBlock* segment : segments) {
     const double* values = segment->values();
-    const double* mults = segment->multiplicities();
     const size_t m = segment->size();
-    for (size_t j = 0; j < m; ++j, ++i) {
-      const uint32_t pos = position_of(i);
-      out_values[pos] = values[j];
-      out_mults[pos] = mults[j];
-    }
+    for (size_t j = 0; j < m; ++j, ++i) out_values[position_of(i)] = values[j];
   }
 }
 
@@ -85,84 +80,139 @@ void CombineIndex::Grow() {
 void Worker::Reset() {
   inbox_.Clear();
   runs_.clear();
-  grouped_values_ptr_ = nullptr;
-  grouped_mults_ptr_ = nullptr;
-  grouped_size_ = 0;
+  grouped_values_.clear();
+  received_multiplicity_ = 0.0;
   send_stats_.Clear();
   group_ns_ = 0;
 }
 
-void Worker::GroupInbox() {
+void Worker::FoldInbox(MessageFold fold) {
   const MessageBlock* own = &inbox_;
-  GroupInbox(std::span<const MessageBlock* const>(&own, 1));
+  FoldInbox(std::span<const MessageBlock* const>(&own, 1), fold);
 }
 
-void Worker::GroupInbox(std::span<const MessageBlock* const> segments) {
+void Worker::FoldInbox(std::span<const MessageBlock* const> segments,
+                       MessageFold fold) {
   const uint64_t t0 = collect_timing_ ? NowNs() : 0;
-  GroupSegments(segments);
+  runs_.clear();
+
+  // Scan: inbox size, the OR of the tags (the tag width) and the
+  // multiplicity sum, in arrival order.
+  size_t n = 0;
+  uint32_t tag_or = 0;
+  double multiplicity = 0.0;
+  for (const MessageBlock* segment : segments) {
+    const size_t m = segment->size();
+    const uint32_t* tags = segment->tags();
+    const double* mults = segment->multiplicities();
+    for (size_t j = 0; j < m; ++j) {
+      tag_or |= tags[j];
+      multiplicity += mults[j];
+    }
+    n += m;
+  }
+  received_multiplicity_ = multiplicity;
+
+  if (n == 0) {
+    grouped_values_.clear();
+  } else {
+    tag_bits_ = std::bit_width(tag_or);
+    // At most (2^32 - 1) << 32: locals are distinct 32-bit vertex ids.
+    const uint64_t key_space =
+        uint64_t{std::max<size_t>(locals_.size(), 1)} << tag_bits_;
+    if (fold == MessageFold::kNone || key_space > kMaxFoldKeys) {
+      GroupSegments(segments, n);
+    } else if (fold == MessageFold::kSum) {
+      FoldSegments<MessageFold::kSum>(segments, key_space);
+    } else {
+      FoldSegments<MessageFold::kMin>(segments, key_space);
+    }
+  }
   if (collect_timing_) group_ns_ += NowNs() - t0;
 }
 
 MessageRun Worker::RunFor(uint64_t key, uint32_t begin, uint32_t end) const {
-  const uint64_t local = key >> tag_bits_;
-  const VertexId target = local_index_ != nullptr
-                              ? locals_[local]
-                              : static_cast<VertexId>(local);
   const uint64_t tag_mask = (uint64_t{1} << tag_bits_) - 1;
-  return MessageRun{target, static_cast<uint32_t>(key & tag_mask), begin,
-                    end};
+  return MessageRun{locals_[key >> tag_bits_],
+                    static_cast<uint32_t>(key & tag_mask), begin, end};
 }
 
-void Worker::GroupSegments(std::span<const MessageBlock* const> segments) {
-  runs_.clear();
-
-  // Scan: inbox size and key widths. Tags (and raw targets when there is
-  // no local numbering) contribute their OR; a numbered target needs
-  // only enough bits for the machine's local vertex count.
-  size_t n = 0;
-  uint32_t tag_or = 0;
-  uint32_t target_or = 0;
-  for (const MessageBlock* segment : segments) {
-    const size_t m = segment->size();
-    const uint32_t* tags = segment->tags();
-    for (size_t j = 0; j < m; ++j) tag_or |= tags[j];
-    if (local_index_ == nullptr) {
-      const VertexId* targets = segment->targets();
-      for (size_t j = 0; j < m; ++j) target_or |= targets[j];
-    }
-    n += m;
+template <MessageFold kFold>
+void Worker::FoldSegments(std::span<const MessageBlock* const> segments,
+                          size_t key_space) {
+  static_assert(kFold != MessageFold::kNone);
+  constexpr double kIdentity = kFold == MessageFold::kSum
+                                   ? 0.0
+                                   : std::numeric_limits<double>::infinity();
+  // Every slot rests at the identity between calls; a program with the
+  // other fold resets the slots once.
+  if (accumulator_fold_ != kFold) {
+    std::fill(accumulator_.begin(), accumulator_.end(), kIdentity);
+    accumulator_fold_ = kFold;
   }
-  grouped_size_ = n;
-  grouped_values_.resize(n);
-  grouped_mults_.resize(n);
-  grouped_values_ptr_ = grouped_values_.data();
-  grouped_mults_ptr_ = grouped_mults_.data();
-  if (n == 0) return;
+  if (accumulator_.size() < key_space) accumulator_.resize(key_space, kIdentity);
+  const size_t words = (key_space + 63) / 64;
+  if (present_.size() < words) present_.resize(words, 0);
+  grouped_values_.clear();
 
-  tag_bits_ = std::bit_width(tag_or);
-  const int target_bits =
-      local_index_ != nullptr
-          ? std::bit_width(static_cast<uint32_t>(
-                std::max<size_t>(locals_.size(), 1) - 1))
-          : std::bit_width(target_or);
-  const int key_bits = tag_bits_ + target_bits;
-  const auto compute_keys = [&](auto&& sink) {
-    if (local_index_ != nullptr) {
-      ForEachKey<true>(segments, local_index_, tag_bits_, sink);
-    } else {
-      ForEachKey<false>(segments, nullptr, tag_bits_, sink);
+  // Fold in arrival order, so a key's slot ends as the left-to-right fold
+  // of its messages: the sum from +0.0, or the minimum whose strict `<`
+  // keeps the first of equal values (-0.0 before +0.0 stays -0.0).
+  double* const acc = accumulator_.data();
+  uint64_t* const present = present_.data();
+  const int tag_bits = tag_bits_;
+  for (const MessageBlock* segment : segments) {
+    const VertexId* targets = segment->targets();
+    const uint32_t* tags = segment->tags();
+    const double* values = segment->values();
+    const size_t m = segment->size();
+    for (size_t j = 0; j < m; ++j) {
+      const uint64_t key =
+          (uint64_t{local_index_[targets[j]]} << tag_bits) | tags[j];
+      if constexpr (kFold == MessageFold::kSum) {
+        acc[key] += values[j];
+      } else {
+        acc[key] = values[j] < acc[key] ? values[j] : acc[key];
+      }
+      present[key >> 6] |= uint64_t{1} << (key & 63);
     }
+  }
+
+  // Emit one run per present key, ascending, and return its slot and
+  // bit to rest.
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t bits = present[w];
+    if (bits == 0) continue;
+    present[w] = 0;
+    do {
+      const uint64_t key = w * 64 + std::countr_zero(bits);
+      const auto slot = static_cast<uint32_t>(grouped_values_.size());
+      runs_.push_back(RunFor(key, slot, slot + 1));
+      grouped_values_.push_back(acc[key]);
+      acc[key] = kIdentity;
+      bits &= bits - 1;
+    } while (bits != 0);
+  }
+}
+
+void Worker::GroupSegments(std::span<const MessageBlock* const> segments,
+                           size_t n) {
+  grouped_values_.resize(n);
+  const int key_bits =
+      tag_bits_ + std::bit_width(static_cast<uint32_t>(
+                      std::max<size_t>(locals_.size(), 1) - 1));
+  const auto compute_keys = [&](auto&& sink) {
+    ForEachKey(segments, local_index_, tag_bits_, sink);
   };
   // Digits shrink with the inbox (down to kMinDigitBits) so a small
   // inbox never pays for a 2^16-entry histogram.
   const int digit_cap = std::clamp(static_cast<int>(std::bit_width(n)),
                                    kMinDigitBits, kMaxDigitBits);
   double* const out_values = grouped_values_.data();
-  double* const out_mults = grouped_mults_.data();
 
   if (key_bits <= digit_cap) {
     // One counting pass: the histogram's nonzero buckets are the runs,
-    // and its prefix sums place every payload element directly.
+    // and its prefix sums place every value directly.
     counts_.assign(size_t{1} << key_bits, 0);
     keys_.resize(n);
     compute_keys([&](size_t i, uint64_t key) {
@@ -176,8 +226,8 @@ void Worker::GroupSegments(std::span<const MessageBlock* const> segments) {
       counts_[key] = offset;
       offset += count;
     }
-    ScatterPayload(segments, out_values, out_mults,
-                   [&](size_t i) { return counts_[keys_[i]]++; });
+    ScatterValues(segments, out_values,
+                  [&](size_t i) { return counts_[keys_[i]]++; });
     return;
   }
 
@@ -234,8 +284,8 @@ void Worker::GroupSegments(std::span<const MessageBlock* const> segments) {
     positions_[src[p].idx] = p;
   }
   runs_.push_back(RunFor(run_key, run_begin, static_cast<uint32_t>(n)));
-  ScatterPayload(segments, out_values, out_mults,
-                 [&](size_t i) { return positions_[i]; });
+  ScatterValues(segments, out_values,
+                [&](size_t i) { return positions_[i]; });
 }
 
 }  // namespace vcmp

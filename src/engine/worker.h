@@ -77,83 +77,95 @@ class CombineIndex {
 
 /// Per-machine inbox of a simulated worker.
 ///
-/// A Worker groups the machine's inbox for the current round, in SoA
+/// A Worker receives the machine's inbox for the current round, in SoA
 /// MessageBlock layout, and holds the round's send statistics. All
 /// buffers retain their capacity across rounds and Reset calls: the
 /// steady state of a multi-round run performs no per-round allocations.
 ///
-/// GroupInbox() never permutes whole messages and never concatenates its
-/// input: it reads the round's inbox as an ordered list of segments (the
-/// senders' buffers, in sender-major order), sorts compact machine-local
-/// keys, scatters only the payload columns, and publishes the result as
-/// `runs()` (one MessageRun per (target, tag) group, ascending) over
-/// `grouped_values()` / `grouped_multiplicities()`.
+/// FoldInbox() reads the round's inbox as an ordered list of segments
+/// (the senders' buffers, in sender-major order) without concatenating
+/// it, and publishes `runs()` (one MessageRun per (target, tag) key,
+/// ascending) over `grouped_values()`. Both receive paths key each
+/// message on the compact machine-local key `local << tag_bits | tag`:
+/// the fold accumulates every key's messages into one value as they
+/// arrive; the grouper sorts the keys and scatters the values so each
+/// run keeps all of its messages.
 class Worker {
  public:
+  /// Largest key space FoldInbox folds: 2^20 keys, an 8 MiB accumulator
+  /// (plus a 128 KiB bitmap) per machine. Wider inboxes are grouped.
+  static constexpr size_t kMaxFoldKeys = size_t{1} << 20;
+
   Worker() = default;
 
-  /// Empties the inbox and the grouping state. Buffer capacity from
+  /// Empties the inbox and the receive state. Buffer capacity from
   /// earlier rounds/runs is retained.
   void Reset();
 
-  /// Declares the machine's dense vertex numbering: `local_index[v]` is
-  /// v's position in `locals`, and `locals` ascends with vertex id. The
-  /// grouper then keys on local positions, which need only
-  /// bit_width(locals.size() - 1) bits instead of a full vertex id, and
-  /// keeps the global (target, tag) order because the numbering is
-  /// monotone. Every inbox message must target one of `locals`, and both
-  /// arrays must outlive the grouping calls (the engine re-declares them
-  /// at every Run). Without a numbering the grouper keys on raw vertex
-  /// ids.
+  /// Declares the machine's dense vertex numbering, which both receive
+  /// paths key on: `local_index[v]` is v's position in `locals`, and
+  /// `locals` ascends with vertex id, so ascending local keys are
+  /// ascending (target, tag) keys. A key needs only
+  /// bit_width(locals.size() - 1) target bits instead of a full vertex
+  /// id. Every inbox message must target one of `locals`, and both
+  /// arrays must outlive the receive calls (the engine re-declares them
+  /// at every Run). Required before FoldInbox.
   void SetLocalNumbering(const uint32_t* local_index,
                          std::span<const VertexId> locals) {
     local_index_ = local_index;
     locals_ = locals;
   }
 
-  /// The materialized inbox: what GroupInbox() without arguments groups.
-  /// The engine fills it only on the out-of-core path, whose delivery
-  /// caps the resident prefix.
+  /// The materialized inbox: what FoldInbox(fold) receives. The engine
+  /// fills it only on the out-of-core path, whose delivery caps the
+  /// resident prefix.
   MessageBlock& inbox() { return inbox_; }
   const MessageBlock& inbox() const { return inbox_; }
   WorkerSendStats& send_stats() { return send_stats_; }
   const WorkerSendStats& send_stats() const { return send_stats_; }
 
-  /// Groups the inbox formed by concatenating `segments` in order, by
-  /// (target, tag), and publishes runs() + grouped_values() /
-  /// grouped_multiplicities(). The segments are only read; the grouped
-  /// payload is a copy, so they may be overwritten afterwards. Messages
-  /// with equal (target, tag) keep their arrival order within the run's
-  /// payload (stable), which fixes the grouped order independently of
-  /// inbox size, segmentation and key widths.
+  /// Receives the inbox formed by concatenating `segments` in order and
+  /// publishes runs() + grouped_values(). The segments are only read;
+  /// the published values are a copy, so the segments may be overwritten
+  /// afterwards. Every path reads the segments in arrival order, which
+  /// fixes its result independently of segmentation and key widths.
   ///
-  /// One algorithm for every inbox: a stable LSD radix over compact keys
-  /// `local << tag_bits | tag`, whose widths come from this inbox (the
-  /// local vertex count and the OR of its tags), in digits of at most 16
-  /// bits. A key that fits one digit takes a single counting pass that
-  /// emits the runs from the histogram and scatters the payload
-  /// directly; wider keys sort 8-byte (key, index) elements, 32 key bits
-  /// at a time, before the same scatter.
-  void GroupInbox(std::span<const MessageBlock* const> segments);
-  /// Groups inbox() (a one-segment list).
-  void GroupInbox();
+  /// * `fold` is kSum or kMin and the inbox's key space (local count <<
+  ///   tag bits) is at most kMaxFoldKeys: each message folds into a
+  ///   per-key accumulator on arrival (a sum from +0.0; a min keeping the
+  ///   first of equal values) and each key present becomes a one-value
+  ///   run. The value equals the same fold over the key's messages in
+  ///   arrival order, bit for bit.
+  /// * Otherwise the grouper: a stable LSD radix over the compact keys,
+  ///   in digits of at most 16 bits. A key that fits one digit takes a
+  ///   single counting pass that emits the runs from the histogram and
+  ///   scatters the values directly; wider keys sort 8-byte (key, index)
+  ///   elements, 32 key bits at a time, before the same scatter. Messages
+  ///   with equal (target, tag) keep their arrival order within a run.
+  void FoldInbox(std::span<const MessageBlock* const> segments,
+                 MessageFold fold);
+  /// Receives inbox() (a one-segment list).
+  void FoldInbox(MessageFold fold);
 
-  /// The (target, tag) runs of the grouped inbox, ascending; valid after
-  /// GroupInbox() until the next grouping. Runs with equal target are
+  /// The (target, tag) runs of the received inbox, ascending; valid after
+  /// FoldInbox() until the next receive. Runs with equal target are
   /// adjacent — this doubles as the round's sparse active-vertex
   /// frontier (one or more runs per active vertex).
   std::span<const MessageRun> runs() const { return runs_; }
 
-  /// Payload columns aligned with runs(): element i of the grouped inbox
-  /// is (values[i], multiplicities[i]), for i < grouped_size().
-  const double* grouped_values() const { return grouped_values_ptr_; }
-  const double* grouped_multiplicities() const { return grouped_mults_ptr_; }
-  size_t grouped_size() const { return grouped_size_; }
+  /// Value column aligned with runs(): run r covers
+  /// values[r.begin, r.end), for a total of grouped_size() values.
+  const double* grouped_values() const { return grouped_values_.data(); }
+  size_t grouped_size() const { return grouped_values_.size(); }
 
-  /// Enables grouping-time collection (see group_ns). Off by default;
-  /// on, each GroupInbox call reads the clock twice, never per message.
+  /// Sum of the last received inbox's multiplicities, added in arrival
+  /// order: the machine's logical received messages.
+  double received_multiplicity() const { return received_multiplicity_; }
+
+  /// Enables receive-time collection (see group_ns). Off by default;
+  /// on, each FoldInbox call reads the clock twice, never per message.
   void set_collect_timing(bool on) { collect_timing_ = on; }
-  /// Nanoseconds spent in GroupInbox since the last Reset, when timing
+  /// Nanoseconds spent in FoldInbox since the last Reset, when timing
   /// collection is enabled.
   uint64_t group_ns() const { return group_ns_; }
 
@@ -165,27 +177,34 @@ class Worker {
     uint32_t idx = 0;
   };
 
-  void GroupSegments(std::span<const MessageBlock* const> segments);
+  template <MessageFold kFold>
+  void FoldSegments(std::span<const MessageBlock* const> segments,
+                    size_t key_space);
+  void GroupSegments(std::span<const MessageBlock* const> segments,
+                     size_t n);
   MessageRun RunFor(uint64_t key, uint32_t begin, uint32_t end) const;
 
   MessageBlock inbox_;
-  const uint32_t* local_index_ = nullptr;  // Null: key on raw vertex ids.
+  const uint32_t* local_index_ = nullptr;
   std::span<const VertexId> locals_;
 
-  // Grouping state, rebuilt by GroupInbox() each round (capacity kept).
+  // Receive state, rebuilt by FoldInbox() each round (capacity kept).
   int tag_bits_ = 0;
+  double received_multiplicity_ = 0.0;
+  std::vector<MessageRun> runs_;
+  std::vector<double> grouped_values_;
+  // Fold accumulator: one slot per key, every slot at the identity of
+  // `accumulator_fold_` between calls, and a bitmap of the keys present.
+  std::vector<double> accumulator_;
+  MessageFold accumulator_fold_ = MessageFold::kNone;
+  std::vector<uint64_t> present_;
+  // Grouper scratch.
   std::vector<uint32_t> counts_;       // Digit histogram / scatter cursor.
   std::vector<uint32_t> keys_;         // Single-digit keys, arrival order.
   std::vector<KeyIdx> pairs_;          // Multi-digit radix elements.
   std::vector<KeyIdx> pair_scratch_;
   std::vector<uint64_t> wide_keys_;    // Keys wider than 32 bits only.
   std::vector<uint32_t> positions_;    // Arrival index -> grouped slot.
-  std::vector<MessageRun> runs_;
-  std::vector<double> grouped_values_;
-  std::vector<double> grouped_mults_;
-  const double* grouped_values_ptr_ = nullptr;
-  const double* grouped_mults_ptr_ = nullptr;
-  size_t grouped_size_ = 0;
 
   WorkerSendStats send_stats_;
   bool collect_timing_ = false;

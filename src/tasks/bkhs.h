@@ -54,7 +54,7 @@ class BkhsProgram : public VertexProgram {
   bool ShouldTerminate(uint64_t rounds_completed) const override {
     return rounds_completed >= params_.k + 1;
   }
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kMin; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());

@@ -78,7 +78,7 @@ class BpprCountingProgram : public VertexProgram {
   uint64_t StoppedAt(VertexId u) const { return stopped_[u]; }
   uint64_t TotalStopped() const;
   uint64_t walks_per_vertex() const { return walks_per_vertex_; }
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kSum; }
 
  private:
   void AdvanceResident(VertexId v, uint64_t resident, MessageSink& sink);
@@ -138,10 +138,10 @@ class BpprPushProgram : public VertexProgram {
 /// Per-source counting-mode walks for systems that combine messages at
 /// the sender (GraphLab sync). Combining is only valid within one source
 /// (PPR is personalized), so the traffic granularity is (source, target)
-/// pairs: each physical message carries one source's walk count and is
-/// Sum-combinable. Heavier per workload unit than the pooled program —
-/// the state and traffic approach the paper's O(n^2) bound as walks
-/// diffuse.
+/// pairs: each physical message carries one source's walk count, and a
+/// (vertex, source) run folds as a sum. Heavier per workload unit than
+/// the pooled program — the state and traffic approach the paper's
+/// O(n^2) bound as walks diffuse.
 class BpprPerSourceProgram : public VertexProgram {
  public:
   BpprPerSourceProgram(const TaskContext& context, double walks_per_vertex,
@@ -151,7 +151,7 @@ class BpprPerSourceProgram : public VertexProgram {
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kSum; }
 
   uint64_t StoppedAt(VertexId u) const { return stopped_[u]; }
   uint64_t TotalStopped() const;

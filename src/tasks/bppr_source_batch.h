@@ -53,7 +53,7 @@ class BpprSourceBatchProgram : public VertexProgram {
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kSum; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());

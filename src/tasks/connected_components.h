@@ -22,7 +22,7 @@ class ConnectedComponentsProgram : public VertexProgram {
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
   double StateBytes(uint32_t machine) const override;
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kMin; }
 
   /// The component label (minimum vertex id in the component) of v after
   /// the run.

@@ -57,7 +57,7 @@ class MsspProgram : public VertexProgram {
   void Seed(VertexId v, MessageSink& sink) override;
   void ComputeRun(VertexId v, const MessageRunView& run,
                   MessageSink& sink) override;
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kMin; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());

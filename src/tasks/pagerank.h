@@ -37,7 +37,7 @@ class PageRankProgram : public VertexProgram {
     return params_.tolerance > 0.0 && aggregate_sum < params_.tolerance;
   }
   double StateBytes(uint32_t machine) const override;
-  bool combinable() const override { return true; }
+  MessageFold fold() const override { return MessageFold::kSum; }
 
   double Rank(VertexId v) const { return rank_[v]; }
   /// Sum of ranks (== 1 minus leaked dangling mass).

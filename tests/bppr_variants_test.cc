@@ -159,7 +159,8 @@ TEST(BpprPushTest, DeeperDiffusionWithHigherWorkload) {
 
 TEST(BpprCountingTest, IsCombinable) {
   Fx fx(SmallGraph(), 2);
-  EXPECT_TRUE(BpprCountingProgram(fx.context, 8, {}, 1).combinable());
+  EXPECT_EQ(BpprCountingProgram(fx.context, 8, {}, 1).fold(),
+            MessageFold::kSum);
 }
 
 }  // namespace

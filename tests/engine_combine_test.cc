@@ -169,7 +169,7 @@ class RecordingProgram : public VertexProgram {
   double StateBytes(uint32_t machine) const override {
     return inner_.StateBytes(machine);
   }
-  bool combinable() const override { return inner_.combinable(); }
+  MessageFold fold() const override { return inner_.fold(); }
 
   /// Distinct send tuples of round r (0 past the last sending round).
   double DistinctKeys(size_t r) const {

@@ -1,16 +1,20 @@
 // Tests of the engine's parallel-execution machinery: the thread pool,
-// the inbox grouper (against a stable-sort oracle), the flat wire-key
-// set, the regression that engine results are bit-identical for every
-// thread count (the determinism contract every perf change must
-// preserve), and every program's numbers pinned as recorded.
+// the inbox grouper and fold (against a stable-sort oracle), the flat
+// wire-key set, the regression that engine results are bit-identical for
+// every thread count (the determinism contract every perf change must
+// preserve), every program's numbers pinned as recorded, and folded
+// runs against grouped ones.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -90,7 +94,7 @@ TEST(ThreadPoolTest, ParallelSortSmallInputFallsBackToSerial) {
   EXPECT_EQ(values, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-// --- Inbox grouping oracle ------------------------------------------
+// --- Receive oracles: grouping and folding ---------------------------
 
 /// A dense vertex numbering for one machine: `locals` ascending, and
 /// local_index[v] = v's position in `locals` (zero for vertices the
@@ -115,22 +119,20 @@ Numbering MakeNumbering(uint32_t count, Rng& rng) {
   return numbering;
 }
 
-/// Groups `inbox` — split into `segments` consecutive pieces at random
-/// cut points, every third one repeated so some pieces are empty (the
-/// shape of quiet shards) — and checks the result against
-/// std::stable_sort on (target, tag). Runs must tile [0, n) with strictly
-/// ascending keys. The payload encodes the arrival position, so
-/// stability is observable.
-void ExpectGroupingMatchesStableSort(const std::vector<Message>& inbox,
-                                     const Numbering* numbering = nullptr,
-                                     uint32_t segments = 1,
-                                     uint64_t seed = 1) {
-  std::vector<Message> expected = inbox;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const Message& a, const Message& b) {
-                     if (a.target != b.target) return a.target < b.target;
-                     return a.tag < b.tag;
-                   });
+bool KeyLess(const Message& a, const Message& b) {
+  if (a.target != b.target) return a.target < b.target;
+  return a.tag < b.tag;
+}
+
+bool SameKey(const Message& a, const Message& b) {
+  return a.target == b.target && a.tag == b.tag;
+}
+
+/// `inbox` split into `segments` consecutive blocks at random cut points,
+/// every third one repeated so some blocks are empty (the shape of quiet
+/// shards).
+std::vector<MessageBlock> SplitInbox(const std::vector<Message>& inbox,
+                                     uint32_t segments, uint64_t seed) {
   Rng rng(seed);
   std::vector<size_t> cuts = {0, inbox.size()};
   for (uint32_t s = 1; s < segments; ++s) {
@@ -139,32 +141,53 @@ void ExpectGroupingMatchesStableSort(const std::vector<Message>& inbox,
   }
   std::sort(cuts.begin(), cuts.end());
   std::vector<MessageBlock> blocks(cuts.size() - 1);
-  std::vector<const MessageBlock*> pieces;
   for (size_t b = 0; b < blocks.size(); ++b) {
     for (size_t i = cuts[b]; i < cuts[b + 1]; ++i) {
       blocks[b].PushBack(inbox[i]);
     }
-    pieces.push_back(&blocks[b]);
   }
+  return blocks;
+}
+
+std::vector<const MessageBlock*> Segments(
+    const std::vector<MessageBlock>& blocks) {
+  std::vector<const MessageBlock*> segments;
+  for (const MessageBlock& block : blocks) segments.push_back(&block);
+  return segments;
+}
+
+/// The inbox's multiplicities summed in arrival order.
+double ArrivalMultiplicity(const std::vector<Message>& inbox) {
+  double sum = 0.0;
+  for (const Message& message : inbox) sum += message.multiplicity;
+  return sum;
+}
+
+/// Groups `inbox`, split into `segments` pieces, and checks the result
+/// against std::stable_sort on (target, tag). Runs must tile [0, n) with
+/// strictly ascending keys. The values encode the arrival position, so
+/// stability is observable.
+void ExpectGroupingMatchesStableSort(const std::vector<Message>& inbox,
+                                     const Numbering& numbering,
+                                     uint32_t segments = 1,
+                                     uint64_t seed = 1) {
+  std::vector<Message> expected = inbox;
+  std::stable_sort(expected.begin(), expected.end(), KeyLess);
+  const std::vector<MessageBlock> blocks = SplitInbox(inbox, segments, seed);
 
   Worker worker;
   worker.Reset();
-  if (numbering != nullptr) {
-    worker.SetLocalNumbering(numbering->local_index.data(),
-                             numbering->locals);
-  }
-  worker.GroupInbox(pieces);
+  worker.SetLocalNumbering(numbering.local_index.data(), numbering.locals);
+  worker.FoldInbox(Segments(blocks), MessageFold::kNone);
   ASSERT_EQ(worker.grouped_size(), expected.size());
+  EXPECT_EQ(worker.received_multiplicity(), ArrivalMultiplicity(inbox));
   const double* values = worker.grouped_values();
-  const double* mults = worker.grouped_multiplicities();
   size_t pos = 0;
   for (const MessageRun& run : worker.runs()) {
     ASSERT_EQ(static_cast<size_t>(run.begin), pos);
     ASSERT_LT(run.begin, run.end);
     if (pos > 0) {
-      const Message& last = expected[pos - 1];
-      ASSERT_TRUE(last.target < run.target ||
-                  (last.target == run.target && last.tag < run.tag))
+      ASSERT_TRUE(KeyLess(expected[pos - 1], expected[run.begin]))
           << "runs out of order at " << pos;
     }
     for (uint32_t i = run.begin; i < run.end; ++i) {
@@ -176,126 +199,295 @@ void ExpectGroupingMatchesStableSort(const std::vector<Message>& inbox,
   ASSERT_EQ(pos, expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(values[i], expected[i].value) << "at " << i;
-    ASSERT_EQ(mults[i], expected[i].multiplicity) << "at " << i;
   }
 }
 
-std::vector<Message> RandomInbox(size_t size, uint32_t num_targets,
-                                 uint32_t num_tags, uint64_t seed) {
+/// `size` messages over the numbering's first `num_targets` vertices and
+/// `num_tags` tags; values are arrival positions.
+std::vector<Message> RandomInbox(size_t size, const Numbering& numbering,
+                                 uint32_t num_targets, uint32_t num_tags,
+                                 uint64_t seed) {
   Rng rng(seed);
   std::vector<Message> inbox;
   inbox.reserve(size);
   for (size_t i = 0; i < size; ++i) {
     inbox.push_back(
-        Message{static_cast<VertexId>(rng.NextBounded(num_targets)),
+        Message{numbering.locals[rng.NextBounded(num_targets)],
                 static_cast<uint32_t>(rng.NextBounded(num_tags)),
                 static_cast<double>(i), 1.0 + 0.5 * static_cast<double>(i)});
   }
   return inbox;
 }
 
-TEST(GroupingOracleTest, RandomizedShapesMatchStableSort) {
-  // Local spaces of 1, ~9.6K (one machine's share of the benchmark
-  // graph) and 2^20 vertices, plus raw vertex ids spanning 32 bits; tag
-  // widths 0..32 bits, so keys run from one bucket to wider than 32 bits;
-  // random, presorted, reversed and heavy-duplicate arrival orders; one
-  // segment or 8 senders x 16 shards.
-  const std::vector<size_t> sizes = {0,   1,    2,     63,    64,
-                                     65,  127,  1000,  20000, 200000};
-  const uint32_t spaces[] = {0, 1, 9600, 1u << 20};  // 0: raw ids.
-  const int tag_widths[] = {0, 1, 3, 8, 16, 32};
-  Rng rng(2024);
-  std::vector<Numbering> numberings;
-  for (uint32_t space : spaces) {
-    numberings.push_back(space > 0 ? MakeNumbering(space, rng) : Numbering{});
+/// One randomized receive shape.
+struct InboxShape {
+  std::vector<Message> inbox;
+  const Numbering* numbering = nullptr;
+  uint32_t segments = 1;
+  std::string label;
+};
+
+/// Receive shapes: local spaces of 1, ~9.6K (one machine's share of the
+/// benchmark graph) and 2^20 vertices; tag widths 0..32 bits, so keys run
+/// from one bucket to wider than 32 bits; sizes 0 to 200K; random,
+/// presorted, reversed and heavy-duplicate arrival orders; one segment or
+/// 8 senders x 16 shards. Values are arrival positions.
+class InboxShapes {
+ public:
+  static constexpr int kDraws = 64;
+
+  InboxShapes() : rng_(2024) {
+    for (uint32_t space : {1u, 9600u, 1u << 20}) {
+      numberings_.push_back(MakeNumbering(space, rng_));
+    }
   }
-  for (int draw = 0; draw < 64; ++draw) {
-    const size_t n = sizes[draw < 20 ? draw % sizes.size()
-                                     : rng.NextBounded(sizes.size())];
-    const uint32_t space_index = draw % 4;
-    const Numbering* numbering =
-        spaces[space_index] > 0 ? &numberings[space_index] : nullptr;
-    const int tag_width = tag_widths[rng.NextBounded(6)];
+
+  InboxShape Draw(int draw) {
+    static constexpr size_t kSizes[] = {0,  1,   2,    63,    64,
+                                        65, 127, 1000, 20000, 200000};
+    static constexpr int kTagWidths[] = {0, 1, 3, 8, 16, 32};
+    const size_t n = kSizes[draw < 20 ? draw % 10 : rng_.NextBounded(10)];
+    InboxShape shape;
+    shape.numbering = &numberings_[draw % 3];
+    const int tag_width = kTagWidths[rng_.NextBounded(6)];
     const int order = (draw / 4) % 4;
-    const uint32_t segments = (draw / 16) % 2 == 0 ? 1 : 8 * 16;
+    shape.segments = (draw / 16) % 2 == 0 ? 1 : 8 * 16;
     // Heavy duplicates: a handful of distinct (target, tag) keys.
-    const uint64_t distinct = order == 3 ? 1 + rng.NextBounded(4) : 0;
-    const auto draw_target = [&]() -> VertexId {
-      if (numbering == nullptr) return static_cast<VertexId>(rng.NextUint64());
-      return numbering->locals[rng.NextBounded(numbering->locals.size())];
-    };
-    std::vector<Message> inbox;
+    const uint64_t distinct = order == 3 ? 1 + rng_.NextBounded(4) : 0;
+    const std::vector<VertexId>& locals = shape.numbering->locals;
+    std::vector<Message>& inbox = shape.inbox;
     inbox.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       Message message;
       if (distinct > 0 && i >= distinct) {
-        message = inbox[rng.NextBounded(distinct)];
+        message = inbox[rng_.NextBounded(distinct)];
       } else {
-        message.target = draw_target();
+        message.target = locals[rng_.NextBounded(locals.size())];
         message.tag = tag_width == 0
                           ? 0
-                          : static_cast<uint32_t>(rng.NextUint64() >>
+                          : static_cast<uint32_t>(rng_.NextUint64() >>
                                                   (64 - tag_width));
       }
-      message.value = static_cast<double>(i);
       message.multiplicity = 1.0 + 0.25 * static_cast<double>(i);
       inbox.push_back(message);
     }
-    if (order == 1 || order == 2) {
+    if (order == 1) std::stable_sort(inbox.begin(), inbox.end(), KeyLess);
+    if (order == 2) {
       std::stable_sort(inbox.begin(), inbox.end(),
-                       [order](const Message& a, const Message& b) {
-                         const bool less = a.target != b.target
-                                               ? a.target < b.target
-                                               : a.tag < b.tag;
-                         const bool greater = a.target != b.target
-                                                  ? a.target > b.target
-                                                  : a.tag > b.tag;
-                         return order == 1 ? less : greater;
+                       [](const Message& a, const Message& b) {
+                         return KeyLess(b, a);
                        });
-      for (size_t i = 0; i < n; ++i) inbox[i].value = static_cast<double>(i);
     }
-    SCOPED_TRACE(::testing::Message()
-                 << "draw " << draw << ": n=" << n << " space="
-                 << spaces[space_index] << " tag_bits=" << tag_width
-                 << " order=" << order << " segments=" << segments);
-    ExpectGroupingMatchesStableSort(inbox, numbering, segments, draw + 1);
+    for (size_t i = 0; i < n; ++i) inbox[i].value = static_cast<double>(i);
+    shape.label = (::testing::Message()
+                   << "draw " << draw << ": n=" << n
+                   << " space=" << locals.size() << " tag_bits=" << tag_width
+                   << " order=" << order << " segments=" << shape.segments)
+                      .GetString();
+    return shape;
   }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  Rng rng_;
+  std::vector<Numbering> numberings_;
+};
+
+TEST(GroupingOracleTest, RandomizedShapesMatchStableSort) {
+  InboxShapes shapes;
+  for (int draw = 0; draw < InboxShapes::kDraws; ++draw) {
+    const InboxShape shape = shapes.Draw(draw);
+    SCOPED_TRACE(shape.label);
+    ExpectGroupingMatchesStableSort(shape.inbox, *shape.numbering,
+                                    shape.segments, draw + 1);
+  }
+}
+
+/// Left-to-right fold as the programs perform it: the sum from +0.0, or
+/// the minimum keeping the first of equal values.
+double FoldLeft(MessageFold fold, const double* values, size_t count) {
+  if (fold == MessageFold::kSum) {
+    double sum = 0.0;
+    for (size_t i = 0; i < count; ++i) sum += values[i];
+    return sum;
+  }
+  double min = values[0];
+  for (size_t i = 1; i < count; ++i) {
+    if (values[i] < min) min = values[i];
+  }
+  return min;
+}
+
+/// Values that expose reassociation and tie-breaking: magnitudes from
+/// 2^-60 to 2^60 of either sign, and +-0.0 and +-1.0 often enough that
+/// runs hold ties.
+double MixedValue(Rng& rng) {
+  switch (rng.NextBounded(8)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return rng.NextBernoulli(0.5) ? 1.0 : -1.0;
+    default: {
+      const double magnitude = std::ldexp(
+          1.0 + rng.NextDouble(), static_cast<int>(rng.NextBounded(121)) - 60);
+      return rng.NextBernoulli(0.5) ? magnitude : -magnitude;
+    }
+  }
+}
+
+/// Whether the inbox's key space (local count << tag bits) fits
+/// Worker::kMaxFoldKeys, so a declared fold folds it.
+bool KeySpaceFits(const std::vector<Message>& inbox,
+                  const Numbering& numbering) {
+  uint32_t tag_or = 0;
+  for (const Message& message : inbox) tag_or |= message.tag;
+  return (uint64_t{numbering.locals.size()} << std::bit_width(tag_or)) <=
+         Worker::kMaxFoldKeys;
+}
+
+/// Receives `inbox` (split into `segments` pieces) through `worker` with
+/// `fold`, twice, and checks each result against std::stable_sort on
+/// (target, tag) followed by FoldLeft over every run. An inbox whose key
+/// space fits must come back folded, one value per run bit-equal to the
+/// fold; a wider one must take the grouper and keep every message. The
+/// second receive shows any accumulator slot the first one left dirty.
+void ExpectFoldMatchesStableSortFold(Worker& worker,
+                                     const std::vector<Message>& inbox,
+                                     const Numbering& numbering,
+                                     MessageFold fold, uint32_t segments,
+                                     uint64_t seed) {
+  std::vector<Message> sorted = inbox;
+  std::stable_sort(sorted.begin(), sorted.end(), KeyLess);
+  std::vector<Message> expected;  // One per run: its key and fold.
+  std::vector<double> run_values;
+  for (size_t i = 0; i < sorted.size();) {
+    run_values.clear();
+    size_t j = i;
+    while (j < sorted.size() && SameKey(sorted[i], sorted[j])) {
+      run_values.push_back(sorted[j++].value);
+    }
+    expected.push_back(
+        Message{sorted[i].target, sorted[i].tag,
+                FoldLeft(fold, run_values.data(), run_values.size()), 0.0});
+    i = j;
+  }
+  const bool folds = KeySpaceFits(inbox, numbering);
+
+  const std::vector<MessageBlock> blocks = SplitInbox(inbox, segments, seed);
+  worker.SetLocalNumbering(numbering.local_index.data(), numbering.locals);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    worker.FoldInbox(Segments(blocks), fold);
+    EXPECT_EQ(worker.received_multiplicity(), ArrivalMultiplicity(inbox));
+    const std::span<const MessageRun> runs = worker.runs();
+    ASSERT_EQ(runs.size(), expected.size());
+    ASSERT_EQ(worker.grouped_size(), folds ? expected.size() : inbox.size());
+    const double* values = worker.grouped_values();
+    uint32_t pos = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+      const MessageRun& run = runs[r];
+      ASSERT_EQ(run.begin, pos) << "run " << r;
+      ASSERT_EQ(run.target, expected[r].target) << "run " << r;
+      ASSERT_EQ(run.tag, expected[r].tag) << "run " << r;
+      if (folds) {
+        ASSERT_EQ(run.size(), 1u) << "run " << r;
+      }
+      const double got = folds
+                             ? values[run.begin]
+                             : FoldLeft(fold, values + run.begin, run.size());
+      ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                std::bit_cast<uint64_t>(expected[r].value))
+          << "run " << r << ": " << got << " vs " << expected[r].value;
+      pos = run.end;
+    }
+    ASSERT_EQ(pos, worker.grouped_size());
+  }
+}
+
+TEST(FoldingOracleTest, RandomizedShapesMatchStableSortThenFold) {
+  // The grouping oracle's shapes with mixed-magnitude values, received
+  // by one worker that alternates sums and mins, so every receive starts
+  // from the slots the last one returned to rest.
+  InboxShapes shapes;
+  Worker worker;
+  worker.Reset();
+  int folded = 0;
+  int grouped = 0;
+  for (int draw = 0; draw < InboxShapes::kDraws; ++draw) {
+    InboxShape shape = shapes.Draw(draw);
+    for (Message& message : shape.inbox) {
+      message.value = MixedValue(shapes.rng());
+    }
+    for (MessageFold fold : {MessageFold::kSum, MessageFold::kMin}) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape.label << " fold="
+                   << (fold == MessageFold::kSum ? "sum" : "min"));
+      ExpectFoldMatchesStableSortFold(worker, shape.inbox, *shape.numbering,
+                                      fold, shape.segments, draw + 1);
+    }
+    if (shape.inbox.empty()) continue;
+    if (KeySpaceFits(shape.inbox, *shape.numbering)) {
+      ++folded;
+    } else {
+      ++grouped;
+    }
+  }
+  // Both paths ran: the 2^20-vertex space with any tag bit, or 9.6K
+  // vertices with 7 or more, is above the cap.
+  EXPECT_GT(folded, 0);
+  EXPECT_GT(grouped, 0);
 }
 
 TEST(RadixGroupingTest, MatchesStableSortAcrossSizes) {
   // Straddles the digit-width breakpoints (small inboxes plan 8-bit
   // digits, large ones up to 16) from both sides.
+  Rng rng(3);
+  const Numbering numbering = MakeNumbering(977, rng);
   for (size_t size : {0u, 1u, 2u, 63u, 64u, 65u, 127u, 1000u, 20000u}) {
     ExpectGroupingMatchesStableSort(
-        RandomInbox(size, /*num_targets=*/977, /*num_tags=*/5,
-                    /*seed=*/size + 1));
+        RandomInbox(size, numbering, /*num_targets=*/977, /*num_tags=*/5,
+                    /*seed=*/size + 1),
+        numbering);
   }
 }
 
 TEST(RadixGroupingTest, StableOnHeavilyDuplicatedKeys) {
   // Few distinct (target, tag) keys: nearly every message ties, so any
   // instability in the sort would reorder payloads.
+  Rng rng(5);
+  const Numbering numbering = MakeNumbering(3, rng);
   ExpectGroupingMatchesStableSort(
-      RandomInbox(5000, /*num_targets=*/3, /*num_tags=*/2, /*seed=*/7));
+      RandomInbox(5000, numbering, /*num_targets=*/3, /*num_tags=*/2,
+                  /*seed=*/7),
+      numbering);
 }
 
 TEST(RadixGroupingTest, HandlesWideTargetRange) {
-  // Raw targets spanning the full 32-bit range plus two tag bits make a
-  // 34-bit key: the second 32-bit window must be sorted too.
+  // 2^20 local vertices plus 32-bit tags make a 52-bit key: the second
+  // 32-bit window must be sorted too.
   Rng rng(23);
+  const Numbering numbering = MakeNumbering(1u << 20, rng);
   std::vector<Message> inbox;
   for (size_t i = 0; i < 4096; ++i) {
-    inbox.push_back(Message{static_cast<VertexId>(rng.NextUint64()),
-                            static_cast<uint32_t>(rng.NextBounded(3)),
-                            static_cast<double>(i), 1.0});
+    inbox.push_back(
+        Message{numbering.locals[rng.NextBounded(numbering.locals.size())],
+                static_cast<uint32_t>(rng.NextUint64() >> 32),
+                static_cast<double>(i), 1.0});
   }
-  ExpectGroupingMatchesStableSort(inbox);
+  ExpectGroupingMatchesStableSort(inbox, numbering);
 }
 
 TEST(RadixGroupingTest, SingleTargetIsIdentity) {
   // A zero-bit key: one bucket, one run, payload in arrival order.
+  Rng rng(9);
+  const Numbering numbering = MakeNumbering(1, rng);
   ExpectGroupingMatchesStableSort(
-      RandomInbox(300, /*num_targets=*/1, /*num_tags=*/1, /*seed=*/9));
+      RandomInbox(300, numbering, /*num_targets=*/1, /*num_tags=*/1,
+                  /*seed=*/9),
+      numbering);
 }
 
 TEST(RadixGroupingTest, DenseCountingPathMatchesStableSort) {
@@ -303,11 +495,10 @@ TEST(RadixGroupingTest, DenseCountingPathMatchesStableSort) {
   // single counting pass builds the runs and scatters the payload.
   Rng rng(11);
   const Numbering numbering = MakeNumbering(64, rng);
-  std::vector<Message> inbox = RandomInbox(5000, 64, 1, 11);
-  for (Message& message : inbox) {
-    message.target = numbering.locals[message.target];
-  }
-  ExpectGroupingMatchesStableSort(inbox, &numbering, /*segments=*/128);
+  ExpectGroupingMatchesStableSort(
+      RandomInbox(5000, numbering, /*num_targets=*/64, /*num_tags=*/1,
+                  /*seed=*/11),
+      numbering, /*segments=*/128);
 }
 
 // --- Flat wire-key set ----------------------------------------------
@@ -611,28 +802,71 @@ uint64_t DigestAnswers(Program program, const VertexProgram& base) {
   return digest.hash;
 }
 
-/// Runs `program` on `system` (broadcast flavour under mirroring) and
-/// returns the result and DigestAnswers.
-std::pair<EngineResult, uint64_t> RunRecorded(Program program,
-                                              SystemKind system,
-                                              uint32_t threads) {
-  const Graph& graph = RecordedGraph();
-  const Partitioning& part = RecordedPartition();
+/// Forwards every call to `inner` but declares no fold, so the engine
+/// groups its inboxes and hands ComputeRun every message of every run.
+class GroupedProgram : public VertexProgram {
+ public:
+  explicit GroupedProgram(VertexProgram& inner) : inner_(inner) {}
+
+  void Seed(VertexId v, MessageSink& sink) override { inner_.Seed(v, sink); }
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override {
+    inner_.ComputeRun(v, run, sink);
+  }
+  bool ShouldTerminate(uint64_t rounds_completed) const override {
+    return inner_.ShouldTerminate(rounds_completed);
+  }
+  bool TerminateOnAggregate(double aggregate_sum) const override {
+    return inner_.TerminateOnAggregate(aggregate_sum);
+  }
+  double StateBytes(uint32_t machine) const override {
+    return inner_.StateBytes(machine);
+  }
+
+ private:
+  VertexProgram& inner_;
+};
+
+/// Four relaxed machines on `system`'s profile, at exactly `threads`
+/// threads.
+EngineOptions RecordedOptions(SystemKind system, uint32_t threads) {
   EngineOptions options;
   options.cluster = RelaxedCluster(4);
   options.profile = ProfileFor(system);
   options.execution_threads = threads;
   options.clamp_threads_to_hardware = false;
+  return options;
+}
+
+/// Runs `program` under `options` (broadcast flavour under mirroring),
+/// through GroupedProgram when `grouped`, and returns the result and
+/// DigestAnswers.
+std::pair<EngineResult, uint64_t> RunRecorded(Program program,
+                                              const EngineOptions& options,
+                                              bool grouped = false) {
+  const Graph& graph = RecordedGraph();
+  const Partitioning& part = RecordedPartition();
   const TaskContext context{&graph, &part, 1.0,
                             options.profile.combines_messages};
   std::unique_ptr<VertexProgram> vertex_program = MakeRecordedProgram(
       program, context,
       options.profile.mirroring ? ProgramFlavor::kBroadcast
                                 : ProgramFlavor::kPointToPoint);
-  auto result = SyncEngine(graph, part, options).Run(*vertex_program);
-  EXPECT_TRUE(result.ok());
+  GroupedProgram wrapper(*vertex_program);
+  VertexProgram& run =
+      grouped ? static_cast<VertexProgram&>(wrapper) : *vertex_program;
+  auto result = SyncEngine(graph, part, options).Run(run);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
   return {result.value_or(EngineResult{}),
           DigestAnswers(program, *vertex_program)};
+}
+
+std::vector<double> CrossBytesPerRound(const EngineResult& result) {
+  std::vector<double> cross;
+  for (const RoundStats& round : result.rounds) {
+    cross.push_back(round.cross_machine_bytes);
+  }
+  return cross;
 }
 
 /// Numbers recorded before BKHS, source-batched BPPR and exact BPPR
@@ -738,18 +972,14 @@ TEST_P(RecordedRunTest, ReproducesRecordedNumbersAtOneAndEightThreads) {
   for (uint32_t threads : {1u, 8u}) {
     SCOPED_TRACE(threads);
     const auto [result, answers] =
-        RunRecorded(want.program, want.system, threads);
-    std::vector<double> cross;
-    for (const RoundStats& round : result.rounds) {
-      cross.push_back(round.cross_machine_bytes);
-    }
+        RunRecorded(want.program, RecordedOptions(want.system, threads));
     EXPECT_EQ(result.seconds, want.seconds);
     EXPECT_EQ(result.num_rounds, want.num_rounds);
     EXPECT_EQ(result.total_messages, want.total_messages);
     EXPECT_EQ(result.peak_memory_bytes, want.peak_memory_bytes);
     EXPECT_EQ(result.residual_bytes_per_machine,
               want.residual_bytes_per_machine);
-    EXPECT_EQ(cross, want.cross_machine_bytes);
+    EXPECT_EQ(CrossBytesPerRound(result), want.cross_machine_bytes);
     EXPECT_EQ(answers, want.answers);
   }
 }
@@ -759,6 +989,67 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RecordedRun>& info) {
       return std::string(info.param.name);
     });
+
+// --- Folded runs against grouped ones --------------------------------
+
+/// Per-machine budget under which every folding program's GraphD run on
+/// the recorded graph spills messages to disk.
+constexpr uint64_t kSpillingBudget = 8'000;
+
+class FoldedRunTest
+    : public ::testing::TestWithParam<std::tuple<Program, bool>> {};
+
+std::string FoldCaseName(
+    const ::testing::TestParamInfo<std::tuple<Program, bool>>& info) {
+  static constexpr const char* kNames[] = {
+      "Bkhs",          "BpprSourceBatch", "BpprExact",
+      "BpprCounting",  "BpprPerSource",   "BpprPush",
+      "Mssp",          "PageRank",        "ConnectedComponents"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) ? "CappedGraphD" : "PregelPlus");
+}
+
+TEST_P(FoldedRunTest, MatchesTheGroupedRunAtOneAndEightThreads) {
+  const auto [program, capped] = GetParam();
+  for (uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options = RecordedOptions(
+        capped ? SystemKind::kGraphD : SystemKind::kPregelPlus, threads);
+    if (capped) {
+      options.ooc.enabled = true;
+      options.ooc.memory_budget_bytes = kSpillingBudget;
+      options.ooc.spill_page_messages = 64;
+    }
+    const auto [grouped, grouped_answers] =
+        RunRecorded(program, options, /*grouped=*/true);
+    const auto [folded, folded_answers] =
+        RunRecorded(program, options, /*grouped=*/false);
+    EXPECT_GT(folded.num_rounds, 2u);
+    EXPECT_EQ(folded.seconds, grouped.seconds);
+    EXPECT_EQ(folded.num_rounds, grouped.num_rounds);
+    EXPECT_EQ(folded.total_messages, grouped.total_messages);
+    EXPECT_EQ(folded.peak_memory_bytes, grouped.peak_memory_bytes);
+    EXPECT_EQ(folded.residual_bytes_per_machine,
+              grouped.residual_bytes_per_machine);
+    EXPECT_EQ(CrossBytesPerRound(folded), CrossBytesPerRound(grouped));
+    EXPECT_EQ(folded_answers, grouped_answers);
+    if (capped) {
+      EXPECT_GT(folded.ooc.spill_bytes_written, 0.0);
+      EXPECT_EQ(folded.ooc.spill_bytes_written,
+                grouped.ooc.spill_bytes_written);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FoldingPrograms, FoldedRunTest,
+    ::testing::Combine(
+        ::testing::Values(Program::kBkhs, Program::kBpprSourceBatch,
+                          Program::kBpprCounting, Program::kBpprPerSource,
+                          Program::kMssp, Program::kPageRank,
+                          Program::kConnectedComponents),
+        ::testing::Bool()),
+    FoldCaseName);
 
 // --- Golden behaviours of the SoA compute path -----------------------
 

@@ -15,13 +15,17 @@ namespace {
 using testing_util::RelaxedCluster;
 
 TEST(WorkerTest, GroupInboxSortsByTargetThenTag) {
+  // The machine owns vertices 1 and 3, numbered 0 and 1.
+  const std::vector<VertexId> locals = {1, 3};
+  const std::vector<uint32_t> local_index = {0, 0, 0, 1};
   Worker worker;
   worker.Reset();
+  worker.SetLocalNumbering(local_index.data(), locals);
   worker.inbox().PushBack(3, 1, 10.0, 1.0);
   worker.inbox().PushBack(1, 2, 20.0, 1.0);
   worker.inbox().PushBack(3, 0, 30.0, 1.0);
   worker.inbox().PushBack(1, 1, 40.0, 1.0);
-  worker.GroupInbox();
+  worker.FoldInbox(MessageFold::kNone);
   const std::span<const MessageRun> runs = worker.runs();
   ASSERT_EQ(runs.size(), 4u);
   EXPECT_EQ(runs[0].target, 1u);

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batch_schedule.h"
+#include "core/runner.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "graph/vertex_cut.h"
+#include "tasks/bppr.h"
 #include "tasks/gas_tasks.h"
 #include "test_util.h"
 
@@ -241,6 +245,45 @@ TEST(GasEngineTest, RejectsMismatchedCluster) {
   GasPageRank program(fx.graph, fx.partition, {});
   GasEngine engine(fx.graph, fx.partition, fx.Options(true, 8));
   EXPECT_FALSE(engine.Run(program).ok());
+}
+
+TEST(GraphLabSyncModelsTest, BpprSecondsAgreeWithinABand) {
+  // GraphLab sync is modelled twice (DESIGN.md §2): the SyncEngine
+  // profile every runner caller uses, and GasEngine's synchronous
+  // scheduler behind Table 4. On the bench-scale DBLP stand-in both send
+  // the same logical BPPR messages, and once messages dominate the
+  // runner's seconds stay 1.20-1.32x GasEngine's on 1 to 16 machines.
+  const Dataset dataset = LoadDataset(DatasetId::kDblp, 64.0);
+  for (double workload : {128.0, 512.0}) {
+    for (uint32_t machines : {1u, 16u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "W=" << workload << " m=" << machines);
+      const ClusterSpec cluster =
+          ClusterSpec::Galaxy8().WithMachines(machines);
+      const Partitioning partition =
+          GreedyEdgeCutPartitioner().Partition(dataset.graph, machines);
+      GasOptions gas_options;
+      gas_options.cluster = cluster;
+      gas_options.profile = ProfileFor(SystemKind::kGraphLab);
+      gas_options.stat_scale = dataset.scale;
+      GasBpprWalks walks(dataset.graph, partition, workload, {}, 7);
+      auto gas = GasEngine(dataset.graph, partition, gas_options).Run(walks);
+      ASSERT_TRUE(gas.ok()) << gas.status().ToString();
+
+      RunnerOptions runner_options;
+      runner_options.cluster = cluster;
+      runner_options.system = SystemKind::kGraphLab;
+      MultiProcessingRunner runner(dataset, runner_options);
+      auto report =
+          runner.Run(BpprTask(), BatchSchedule::FullParallelism(workload));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+      const double ratio =
+          report.value().total_seconds / gas.value().seconds;
+      EXPECT_GE(ratio, 1.15);
+      EXPECT_LE(ratio, 1.35);
+    }
+  }
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST(MessageRunViewTest, SumValuesFoldsLeftToRight) {
   // Floating-point addition is not associative; the determinism contract
   // pins the fold to left-to-right order: (big + tiny) + tiny.
   const double values[] = {1e16, 1.0, 1.0};
-  const MessageRunView run{/*tag=*/0, values, nullptr, 3};
+  const MessageRunView run{/*tag=*/0, values, 3};
   EXPECT_EQ(run.SumValues(), (1e16 + 1.0) + 1.0);
 }
 
