@@ -8,9 +8,8 @@ namespace {
 
 /// Per-call completion latch for the ParallelFor variants: each call
 /// waits for its own shards only, so concurrent calls from several driver
-/// threads sharing one pool return independently (the pool-wide Wait()
-/// would make every caller wait for everyone's work). The decrement and
-/// the final predicate check share one mutex, so the notifying task never
+/// threads sharing one pool return independently. The decrement and the
+/// final predicate check share one mutex, so the notifying task never
 /// touches the latch after the waiter could have destroyed it.
 struct CallLatch {
   std::mutex mutex;
@@ -49,22 +48,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();  // Inline execution: serial and parallel share one code path.
-    return;
-  }
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    ++inflight_;
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  if (workers_.empty()) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 void ThreadPool::ParallelFor(uint32_t count,
@@ -131,28 +119,7 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--inflight_ == 0) done_cv_.notify_all();
-    }
   }
-}
-
-void TaskGroup::Submit(ThreadPool& pool, std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++pending_;
-  }
-  pool.Submit([this, task = std::move(task)] {
-    task();
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--pending_ == 0) cv_.notify_all();
-  });
-}
-
-void TaskGroup::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 }  // namespace vcmp

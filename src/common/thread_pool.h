@@ -13,43 +13,33 @@
 
 namespace vcmp {
 
-/// Persistent fixed-size worker pool with a submit/wait barrier API.
+/// Persistent fixed-size worker pool with two barrier loops.
 ///
 /// The engines reuse one pool for every superstep of a run, replacing the
 /// per-round std::thread spawn/join that dominated the orchestration cost
 /// of short rounds. Workers are started once in the constructor and
-/// parked on a condition variable between rounds; Wait() is the barrier
-/// that ends a round's parallel section.
+/// parked on a condition variable between rounds; each ParallelFor /
+/// ParallelForStealable call is a barrier: it returns only after every
+/// index it was given has run, so it ends a round's parallel section.
 ///
 /// One pool may be shared by several driver threads (one per in-flight
-/// query in concurrent multi-query execution): Submit is thread-safe, and
-/// ParallelFor / ParallelForStealable track the completion of *their own*
-/// shards with a per-call latch, so concurrent calls return independently
-/// instead of coupling at a pool-wide barrier. Wait() remains the
-/// pool-wide drain and is only meaningful for a single-owner pool; shared
-/// users scope their background work with a TaskGroup instead.
+/// query in concurrent multi-query execution): both loops track the
+/// completion of *their own* shards with a per-call latch, so concurrent
+/// calls return independently instead of coupling at a pool-wide
+/// barrier.
 ///
-/// With zero workers every Submit executes inline on the calling thread,
-/// so serial and parallel executions share one code path.
+/// With zero workers both loops run every index inline on the calling
+/// thread, so serial and parallel executions share one code path.
 class ThreadPool {
  public:
   /// Starts `num_workers` threads (0 = inline execution).
   explicit ThreadPool(uint32_t num_workers);
 
-  /// Blocks until all submitted tasks finished, then joins the workers.
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Thread-safe. Tasks must not throw and must not call
-  /// Submit/Wait on the same pool (no nested parallelism).
-  void Submit(std::function<void()> task);
-
-  /// Pool-wide barrier: returns once every task submitted so far has
-  /// completed — including tasks submitted by OTHER threads sharing the
-  /// pool. Single-owner pools only; shared users wait on a TaskGroup.
-  void Wait();
 
   uint32_t num_workers() const {
     return static_cast<uint32_t>(workers_.size());
@@ -60,7 +50,8 @@ class ThreadPool {
   /// indices s, s + S, s + 2S, ...). Returns after all indices ran; the
   /// caller participates, so the pool is never idle-waited from outside.
   /// Completion is tracked per call, so concurrent ParallelFor calls from
-  /// different driver threads finish independently.
+  /// different driver threads finish independently. `fn` must not throw
+  /// and must not call back into the same pool (no nested parallelism).
   void ParallelFor(uint32_t count, const std::function<void(uint32_t)>& fn);
 
   /// Work-stealing variant of ParallelFor for skewed index costs.
@@ -93,50 +84,15 @@ class ThreadPool {
   }
 
  private:
+  /// Enqueues one shard of a loop; only called with workers present.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;   // Signals workers: task or stop.
-  std::condition_variable done_cv_;   // Signals Wait(): all tasks done.
+  std::condition_variable work_cv_;  // Signals workers: task or stop.
   std::deque<std::function<void()>> queue_;
-  uint64_t inflight_ = 0;  // Queued plus currently-running tasks.
   bool stop_ = false;
   std::vector<std::thread> workers_;
-};
-
-/// Completion scope for a subset of a pool's tasks.
-///
-/// A shared pool serves several queries at once, so the pool-wide Wait()
-/// would couple them: one query draining its background jobs would block
-/// on every other query's work too (and might never observe an idle pool
-/// while peers keep submitting rounds). A TaskGroup counts only the tasks
-/// submitted through it, giving each owner — e.g. each query's
-/// out-of-core prefetcher — a private happens-before barrier on the
-/// shared pool. Wait() establishes the same ordering guarantee the pool
-/// barrier did: everything the group's tasks wrote is visible after it
-/// returns.
-///
-/// Submit/Wait may be called from one owner thread at a time; distinct
-/// TaskGroups are independent.
-class TaskGroup {
- public:
-  TaskGroup() = default;
-  /// Waits for stragglers so task captures never dangle.
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues `task` on `pool`, counted against this group.
-  void Submit(ThreadPool& pool, std::function<void()> task);
-
-  /// Returns once every task submitted through this group completed.
-  void Wait();
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  uint64_t pending_ = 0;
 };
 
 /// Sorts [begin, end) with `cmp` using the pool: shards are sorted

@@ -209,6 +209,8 @@ class SyncEngine::ShardSink : public MessageSink {
   Rng& rng() override { return rng_; }
 
   const MessageBlock& arena(uint32_t dest) const { return arenas_[dest]; }
+  /// Out-of-core delivery truncates the arena to its resident prefix.
+  MessageBlock& mutable_arena(uint32_t dest) { return arenas_[dest]; }
   const std::vector<double>& cross_weights(uint32_t dest) const {
     return cross_weights_[dest];
   }
@@ -415,17 +417,19 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     shard_sinks[task]->Configure(this, task / shards_per_machine, machines,
                                  ctx.query_id);
   }
-  // What each destination is sent in a round, as the sender-major list
-  // of buffers its inbox would be concatenated from: every sender's
-  // shard arenas, senders in machine order and each sender's arenas in
-  // shard order (task order). Next round groups this list in place (no
-  // merge copy, no delivery copy); only the out-of-core delivery
-  // materializes it. The buffer objects are stable for the whole Run.
-  std::vector<std::vector<const MessageBlock*>> sent_to(machines);
+  // What each destination receives in a round, as the list of buffers
+  // its inbox is the concatenation of: every sender's shard arenas,
+  // senders in machine order and each sender's arenas in shard order
+  // (task order), then under OOC the runtime's restored block, the tail
+  // the resident cap spilled. Next round receives this list in place (no
+  // merge copy, no delivery copy). The buffer objects are stable for the
+  // whole Run.
+  std::vector<std::vector<const MessageBlock*>> inbox_of(machines);
   for (uint32_t dest = 0; dest < machines; ++dest) {
     for (uint32_t task = 0; task < num_shard_tasks; ++task) {
-      sent_to[dest].push_back(&shard_sinks[task]->arena(dest));
+      inbox_of[dest].push_back(&shard_sinks[task]->arena(dest));
     }
+    if (rt != nullptr) inbox_of[dest].push_back(&rt->restored(dest));
   }
 
   // The pool outlives the round loop. A context without a pool gets a
@@ -475,15 +479,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   }
 
   for (uint64_t round = 0; round <= options_.max_rounds; ++round) {
-    if (rt != nullptr && round > 0) {
-      // Happens-before edge for the background prefetch jobs launched at
-      // the end of last round: after this barrier their staged sections
-      // are plain data, consumed lazily (and deterministically) inside
-      // TouchSections. The wait is scoped to THIS query's jobs so
-      // queries sharing the pool do not couple at each other's barriers.
-      rt->WaitPrefetch();
-      VCMP_RETURN_IF_ERROR(rt->ConsumeError());
-    }
     for (Worker& worker : workers) worker.send_stats().Clear();
 
     ClusterRoundLoad loads(machines);
@@ -522,16 +517,12 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             [](uint32_t) { return false; });
         return;
       }
-      if (rt != nullptr) {
-        // Stream last round's spilled overflow back in before receiving;
-        // restored messages append after the resident ones, which
-        // restores the uncapped arrival order, so the received inbox is
-        // bit-identical to the uncapped run's.
-        rt->RestoreInbox(machine, &worker.inbox());
-        worker.FoldInbox(fold);
-      } else {
-        worker.FoldInbox(sent_to[machine], fold);
-      }
+      // Under OOC, stream last round's spilled tail back first: it is
+      // the list's last segment, behind the resident prefix the delivery
+      // left in the arenas, so the received inbox is bit-identical to
+      // the uncapped run's.
+      if (rt != nullptr) rt->RestoreInbox(machine);
+      worker.FoldInbox(inbox_of[machine], fold);
       MachineRoundLoad& load = loads[machine];
       load.recv_messages = worker.received_multiplicity();
       if (combining) {
@@ -544,9 +535,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         }
       }
       if (rt != nullptr) {
-        // Page in the vertex-state sections behind this round's targets
-        // (ascending section order; prefetched buffers are consumed at
-        // exactly the point a synchronous load would install them).
+        // Page in the vertex-state sections behind this round's targets,
+        // in ascending section order.
         rt->TouchSections(machine, worker.runs());
       }
       const std::span<const MessageRun> runs = worker.runs();
@@ -784,24 +774,26 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         // expressed in the same paper-scale buffered-byte terms the
         // modeled recv-side overflow uses.
         load.measured_spill_bytes =
-            static_cast<double>(rt->TakeRestoredMessages(machine)) *
+            static_cast<double>(rt->restored(machine).size()) *
             bytes_per_message * options_.profile.message_memory_overhead *
             scale;
         // Measured vertex-state streaming replaces the page-cache
         // heuristic below.
         load.measured_edge_stream_bytes =
             rt->TakeRoundStreamBytes(machine) * scale;
-        // Live: this round's inbox plus everything the machine sent.
-        size_t live_messages = workers[machine].inbox().size();
+        // Live: everything the machine sent this round; the runtime adds
+        // the restored tail it received. The resident prefix it received
+        // sat in the senders' arenas, which this round's sends reused.
+        size_t sent_messages = 0;
         const uint32_t first_task = machine * shards_per_machine;
         for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
           for (uint32_t dest = 0; dest < machines; ++dest) {
-            live_messages +=
+            sent_messages +=
                 shard_sinks[first_task + shard]->arena(dest).size();
           }
         }
         rt->NoteRoundLiveBytes(machine,
-                               static_cast<double>(live_messages) *
+                               static_cast<double>(sent_messages) *
                                    MessageBlock::kBytesPerMessage);
       }
     }
@@ -976,51 +968,44 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       if (options_.stop_early_on_overload) break;
     }
 
-    // --- Deliver: only the out-of-core path materializes an inbox ---
-    // Everywhere else next round's phase A receives sent_to in place.
-    // Under OOC the resident-message cap cuts the sender-major
-    // concatenation at an arbitrary point: the prefix stays resident and
-    // the suffix pages to the spill file. At most one segment straddles
-    // the cut, so resident ++ restored reproduces the uncapped inbox order
-    // byte for byte (and the receive then folds or groups identical
-    // arrival orders).
+    // --- Deliver: only the out-of-core path touches the arenas ---
+    // Next round's phase A receives each inbox_of list in place. Under
+    // OOC the resident-message cap cuts the sender-major concatenation at
+    // an arbitrary point: the suffix pages to the spill file and the
+    // senders' arenas are truncated to the prefix. At most one arena
+    // straddles the cut, so prefix ++ restored reproduces the uncapped
+    // inbox order byte for byte (and the receive then folds or groups
+    // identical arrival orders). Each destination truncates only its own
+    // arena of every sender, so the tasks share nothing.
     const uint64_t deliver_start_ns = wallclock::NowNs();
     if (rt != nullptr) {
-      pool.ParallelFor(machines, [&sent_to, &workers, rt](uint32_t dest) {
-        MessageBlock& inbox = workers[dest].inbox();
-        inbox.Clear();
-        size_t total = 0;
-        for (const MessageBlock* segment : sent_to[dest]) {
-          total += segment->size();
-        }
+      pool.ParallelFor(machines, [&](uint32_t dest) {
         const size_t cap = static_cast<size_t>(rt->resident_message_cap());
-        inbox.Reserve(std::min(total, cap));
         size_t kept = 0;
-        for (const MessageBlock* segment : sent_to[dest]) {
-          const size_t n = segment->size();
+        for (uint32_t task = 0; task < num_shard_tasks; ++task) {
+          MessageBlock& arena = shard_sinks[task]->mutable_arena(dest);
+          const size_t n = arena.size();
           const size_t take = std::min(n, cap - kept);
-          inbox.AppendColumns(segment->targets(), segment->tags(),
-                              segment->values(), segment->multiplicities(),
-                              take);
           kept += take;
-          if (take < n) rt->SpillMessages(dest, *segment, take, n - take);
+          if (take < n) {
+            rt->SpillMessages(dest, arena, take, n - take);
+            arena.Truncate(take);
+          }
         }
         rt->FinishDeliverRound(dest);
       });
+      VCMP_RETURN_IF_ERROR(rt->ConsumeError());
     }
     if (collect_times) {
       result.phase.deliver_seconds += wallclock::SecondsSince(deliver_start_ns);
     }
-    if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
+    // Quiescence reads the arenas and the pending spill only: the
+    // restored block was received this round.
     for (uint32_t machine = 0; machine < machines; ++machine) {
-      if (rt != nullptr) {
-        any_messages_pending |= !workers[machine].inbox().empty() ||
-                                rt->has_pending_spill(machine);
-        continue;
+      for (uint32_t task = 0; task < num_shard_tasks; ++task) {
+        any_messages_pending |= !shard_sinks[task]->arena(machine).empty();
       }
-      for (const MessageBlock* segment : sent_to[machine]) {
-        any_messages_pending |= !segment->empty();
-      }
+      if (rt != nullptr) any_messages_pending |= rt->has_pending_spill(machine);
     }
     if (!any_messages_pending) break;  // Quiescence: vote-to-halt.
     if (program.ShouldTerminate(round + 1)) break;
@@ -1033,25 +1018,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     if (aggregate_used && program.TerminateOnAggregate(aggregate_sum)) {
       break;
     }
-    if (rt != nullptr) {
-      // The loop will run another round: queue its sections (from the
-      // resident inbox targets — a subset of next round's needed set)
-      // and kick off one background read job per machine. The barrier
-      // at the top of the next iteration publishes the staged buffers.
-      for (uint32_t machine = 0; machine < machines; ++machine) {
-        rt->SchedulePrefetch(machine, workers[machine].inbox());
-      }
-      rt->LaunchPrefetch(&pool);
-    }
   }
 
   result.residual_bytes_per_machine = residual_ledger;
 
   if (rt != nullptr) {
-    // Drain any prefetch jobs a terminal break left in flight before
-    // reading the runtime's counters (or letting it be destroyed).
-    rt->WaitPrefetch();
-    VCMP_RETURN_IF_ERROR(rt->ConsumeError());
     result.ooc_active = true;
     result.ooc = rt->run_stats();
   }
@@ -1099,8 +1070,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
                   static_cast<double>(result.ooc.cache_hits));
       tracer->Add("engine.ooc.cache_misses",
                   static_cast<double>(result.ooc.cache_misses));
-      tracer->Add("engine.ooc.prefetch_loads",
-                  static_cast<double>(result.ooc.prefetch_loads));
       tracer->Peak("engine.ooc.peak_live_bytes",
                    result.ooc.peak_live_bytes);
     }

@@ -114,7 +114,9 @@ struct EnginePhaseTimes {
   double compute_seconds = 0.0;  // Superstep compute (includes group/stage).
   double group_seconds = 0.0;    // Worker::FoldInbox busy time.
   double stage_seconds = 0.0;    // Cross-traffic tally busy time.
-  double deliver_seconds = 0.0;  // Out-of-core inbox delivery.
+  // Out-of-core delivery: spilling each inbox's tail past the resident
+  // cap and truncating the senders' arenas to the prefix.
+  double deliver_seconds = 0.0;
 };
 
 /// Outcome of one engine execution (one batch).

@@ -78,17 +78,11 @@ void CombineIndex::Grow() {
 }
 
 void Worker::Reset() {
-  inbox_.Clear();
   runs_.clear();
   grouped_values_.clear();
   received_multiplicity_ = 0.0;
   send_stats_.Clear();
   group_ns_ = 0;
-}
-
-void Worker::FoldInbox(MessageFold fold) {
-  const MessageBlock* own = &inbox_;
-  FoldInbox(std::span<const MessageBlock* const>(&own, 1), fold);
 }
 
 void Worker::FoldInbox(std::span<const MessageBlock* const> segments,

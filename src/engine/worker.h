@@ -75,21 +75,21 @@ class CombineIndex {
   uint64_t epoch_ = 1;  // Starts above the default slot epoch (0).
 };
 
-/// Per-machine inbox of a simulated worker.
+/// Per-machine receive state of a simulated worker.
 ///
-/// A Worker receives the machine's inbox for the current round, in SoA
-/// MessageBlock layout, and holds the round's send statistics. All
-/// buffers retain their capacity across rounds and Reset calls: the
-/// steady state of a multi-round run performs no per-round allocations.
+/// A Worker receives the machine's inbox for the current round and holds
+/// the round's send statistics. All buffers retain their capacity across
+/// rounds and Reset calls: the steady state of a multi-round run
+/// performs no per-round allocations.
 ///
-/// FoldInbox() reads the round's inbox as an ordered list of segments
-/// (the senders' buffers, in sender-major order) without concatenating
-/// it, and publishes `runs()` (one MessageRun per (target, tag) key,
-/// ascending) over `grouped_values()`. Both receive paths key each
-/// message on the compact machine-local key `local << tag_bits | tag`:
-/// the fold accumulates every key's messages into one value as they
-/// arrive; the grouper sorts the keys and scatters the values so each
-/// run keeps all of its messages.
+/// FoldInbox() reads the round's inbox as an ordered list of SoA
+/// MessageBlock segments (the senders' buffers, in sender-major order)
+/// without concatenating it, and publishes `runs()` (one MessageRun per
+/// (target, tag) key, ascending) over `grouped_values()`. Both receive
+/// paths key each message on the compact machine-local key
+/// `local << tag_bits | tag`: the fold accumulates every key's messages
+/// into one value as they arrive; the grouper sorts the keys and
+/// scatters the values so each run keeps all of its messages.
 class Worker {
  public:
   /// Largest key space FoldInbox folds: 2^20 keys, an 8 MiB accumulator
@@ -98,8 +98,8 @@ class Worker {
 
   Worker() = default;
 
-  /// Empties the inbox and the receive state. Buffer capacity from
-  /// earlier rounds/runs is retained.
+  /// Empties the receive state. Buffer capacity from earlier rounds/runs
+  /// is retained.
   void Reset();
 
   /// Declares the machine's dense vertex numbering, which both receive
@@ -116,11 +116,6 @@ class Worker {
     locals_ = locals;
   }
 
-  /// The materialized inbox: what FoldInbox(fold) receives. The engine
-  /// fills it only on the out-of-core path, whose delivery caps the
-  /// resident prefix.
-  MessageBlock& inbox() { return inbox_; }
-  const MessageBlock& inbox() const { return inbox_; }
   WorkerSendStats& send_stats() { return send_stats_; }
   const WorkerSendStats& send_stats() const { return send_stats_; }
 
@@ -144,8 +139,6 @@ class Worker {
   ///   with equal (target, tag) keep their arrival order within a run.
   void FoldInbox(std::span<const MessageBlock* const> segments,
                  MessageFold fold);
-  /// Receives inbox() (a one-segment list).
-  void FoldInbox(MessageFold fold);
 
   /// The (target, tag) runs of the received inbox, ascending; valid after
   /// FoldInbox() until the next receive. Runs with equal target are
@@ -184,7 +177,6 @@ class Worker {
                      size_t n);
   MessageRun RunFor(uint64_t key, uint32_t begin, uint32_t end) const;
 
-  MessageBlock inbox_;
   const uint32_t* local_index_ = nullptr;
   std::span<const VertexId> locals_;
 

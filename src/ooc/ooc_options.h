@@ -34,11 +34,6 @@ struct OocOptions {
   /// s % cache_ways, and LRU eviction is local to a way.
   uint32_t cache_ways = 4;
 
-  /// Prefetch next round's sections on the thread pool while the main
-  /// thread finishes the round. Never changes results — only whether a
-  /// section load happens on the barrier or in the background.
-  bool prefetch = true;
-
   /// Messages per spill page (one checksum + one write per page).
   uint32_t spill_page_messages = 4096;
 };
@@ -54,6 +49,8 @@ struct OocRunStats {
   uint64_t spill_pages = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  /// Always 0: a section loads only when a round touches it. Kept only
+  /// because vcmp_bench reports it; it goes with that report's metric.
   uint64_t prefetch_loads = 0;
   uint64_t cache_evictions = 0;
   double state_bytes_read = 0.0;

@@ -80,7 +80,6 @@ Result<std::unique_ptr<OocRuntime>> OocRuntime::Create(
   std::unique_ptr<OocRuntime> runtime(new OocRuntime());
   runtime->governor_ = std::make_unique<MemoryGovernor>(config);
   runtime->vertices_by_machine_ = &vertices_by_machine;
-  runtime->prefetch_enabled_ = setup.options.prefetch;
 
   // Spill directory: a caller-provided path is used as-is (files only
   // are cleaned up); an empty path gets a unique directory under the
@@ -149,9 +148,6 @@ Result<std::unique_ptr<OocRuntime>> OocRuntime::Create(
 }
 
 OocRuntime::~OocRuntime() {
-  // Outstanding background reads capture machine slots and file readers;
-  // drain them before any teardown touches either.
-  prefetch_group_.Wait();
   std::error_code ec;
   for (Machine& m : machines_) {
     m.reader.Close();
@@ -188,35 +184,21 @@ Status OocRuntime::ConsumeError() {
   return first;
 }
 
-void OocRuntime::RestoreInbox(uint32_t machine, MessageBlock* inbox) {
+void OocRuntime::RestoreInbox(uint32_t machine) {
   Machine& m = machines_[machine];
-  if (!m.stream.has_spill()) return;
-  Result<uint64_t> restored = m.stream.Restore(inbox);
-  if (!restored.ok()) {
-    RecordError(m, restored.status());
-    return;
-  }
-  m.restored_this_round += restored.value();
+  m.restored.Clear();
+  Result<uint64_t> restored = m.stream.Restore(&m.restored);
+  if (!restored.ok()) RecordError(m, restored.status());
 }
 
-Status OocRuntime::LoadSection(Machine& m, uint32_t section) {
-  // Prefetch staging is consulted first so a prefetched section installs
-  // at exactly the point a synchronous load would have — the LRU state
-  // (and therefore every eviction and measured byte) is identical with
-  // prefetch on or off.
-  auto staged = std::lower_bound(
-      m.staged.begin(), m.staged.end(), section,
-      [](const auto& entry, uint32_t s) { return entry.first < s; });
-  if (staged != m.staged.end() && staged->first == section) {
-    m.cache.ApplyLoaded(section, std::move(staged->second));
-  } else {
-    bool loaded = false;
-    VCMP_RETURN_IF_ERROR(m.cache.EnsureResident(section, &loaded));
-    if (!loaded) return Status::OK();  // Hit: no bytes moved.
+Status OocRuntime::TouchSection(Machine& m, uint32_t section) {
+  bool loaded = false;
+  VCMP_RETURN_IF_ERROR(m.cache.EnsureResident(section, &loaded));
+  if (loaded) {
+    m.stream_bytes_this_round +=
+        static_cast<double>(m.reader.section_bytes(section)) +
+        8.0 * m.section_degree_sum[section];
   }
-  m.stream_bytes_this_round +=
-      static_cast<double>(m.reader.section_bytes(section)) +
-      8.0 * m.section_degree_sum[section];
   return Status::OK();
 }
 
@@ -231,16 +213,9 @@ void OocRuntime::TouchSections(uint32_t machine,
   for (uint32_t s = 0; s < sections; ++s) {
     if (m.section_needed[s] == 0) continue;
     m.section_needed[s] = 0;
-    if (m.cache.IsResident(s)) {
-      bool loaded = false;
-      Status touched = m.cache.EnsureResident(s, &loaded);  // Hit + touch.
-      if (!touched.ok()) RecordError(m, std::move(touched));
-      continue;
-    }
-    Status loaded = LoadSection(m, s);
-    if (!loaded.ok()) RecordError(m, std::move(loaded));
+    Status touched = TouchSection(m, s);
+    if (!touched.ok()) RecordError(m, std::move(touched));
   }
-  m.staged.clear();
 }
 
 void OocRuntime::StreamAllDegrees(uint32_t machine,
@@ -250,19 +225,10 @@ void OocRuntime::StreamAllDegrees(uint32_t machine,
       static_cast<uint32_t>(m.section_begin.size()) - 1;
   degrees->assign((*vertices_by_machine_)[machine].size(), 0);
   for (uint32_t s = 0; s < sections; ++s) {
-    if (!m.cache.IsResident(s)) {
-      Status loaded = LoadSection(m, s);
-      if (!loaded.ok()) {
-        RecordError(m, std::move(loaded));
-        return;
-      }
-    } else {
-      bool loaded = false;
-      Status touched = m.cache.EnsureResident(s, &loaded);
-      if (!touched.ok()) {
-        RecordError(m, std::move(touched));
-        return;
-      }
+    Status touched = TouchSection(m, s);
+    if (!touched.ok()) {
+      RecordError(m, std::move(touched));
+      return;
     }
     const std::vector<VertexRecord>& records = m.cache.Records(s);
     for (uint64_t i = 0; i < records.size(); ++i) {
@@ -271,13 +237,13 @@ void OocRuntime::StreamAllDegrees(uint32_t machine,
   }
 }
 
-void OocRuntime::SpillMessages(uint32_t machine, const MessageBlock& outbox,
+void OocRuntime::SpillMessages(uint32_t machine, const MessageBlock& arena,
                                size_t from, size_t count) {
   Machine& m = machines_[machine];
   Status appended =
-      m.stream.Append(outbox.targets() + from, outbox.tags() + from,
-                      outbox.values() + from,
-                      outbox.multiplicities() + from, count);
+      m.stream.Append(arena.targets() + from, arena.tags() + from,
+                      arena.values() + from, arena.multiplicities() + from,
+                      count);
   if (!appended.ok()) RecordError(m, std::move(appended));
 }
 
@@ -285,49 +251,6 @@ void OocRuntime::FinishDeliverRound(uint32_t machine) {
   Machine& m = machines_[machine];
   Status finished = m.stream.EndRound();
   if (!finished.ok()) RecordError(m, std::move(finished));
-}
-
-void OocRuntime::SchedulePrefetch(uint32_t machine,
-                                  const MessageBlock& inbox) {
-  if (!prefetch_enabled_) return;
-  Machine& m = machines_[machine];
-  m.prefetch_wish.clear();
-  const VertexId* targets = inbox.targets();
-  for (size_t i = 0; i < inbox.size(); ++i) {
-    const uint64_t position = position_of_vertex_[targets[i]];
-    m.section_needed[SectionOfPosition(m, position)] = 1;
-  }
-  for (uint32_t s = 0; s < m.section_needed.size(); ++s) {
-    if (m.section_needed[s] == 0) continue;
-    m.section_needed[s] = 0;
-    if (!m.cache.IsResident(s)) m.prefetch_wish.push_back(s);
-  }
-}
-
-void OocRuntime::LaunchPrefetch(ThreadPool* pool) {
-  if (!prefetch_enabled_) return;
-  for (Machine& m : machines_) {
-    if (m.prefetch_wish.empty()) continue;
-    prefetch_group_.Submit(*pool, [&m] {
-      for (uint32_t s : m.prefetch_wish) {
-        std::vector<VertexRecord> records;
-        Status read = m.reader.ReadSection(s, &records);
-        if (!read.ok()) {
-          RecordError(m, std::move(read));
-          break;
-        }
-        m.staged.emplace_back(s, std::move(records));
-      }
-      m.prefetch_wish.clear();
-    });
-  }
-}
-
-uint64_t OocRuntime::TakeRestoredMessages(uint32_t machine) {
-  Machine& m = machines_[machine];
-  const uint64_t restored = m.restored_this_round;
-  m.restored_this_round = 0;
-  return restored;
 }
 
 double OocRuntime::TakeRoundStreamBytes(uint32_t machine) {
@@ -338,9 +261,11 @@ double OocRuntime::TakeRoundStreamBytes(uint32_t machine) {
 }
 
 void OocRuntime::NoteRoundLiveBytes(uint32_t machine,
-                                    double inbox_and_outbox_real_bytes) {
+                                    double sent_real_bytes) {
   Machine& m = machines_[machine];
-  const double live = inbox_and_outbox_real_bytes +
+  const double live = sent_real_bytes +
+                      static_cast<double>(m.restored.size() *
+                                          MessageBlock::kBytesPerMessage) +
                       static_cast<double>(m.cache.resident_bytes()) +
                       static_cast<double>(m.stream.staging_bytes());
   m.peak_live_bytes = std::max(m.peak_live_bytes, live);
@@ -357,7 +282,6 @@ OocRunStats OocRuntime::run_stats() const {
     const VertexCache::Stats& cache = m.cache.stats();
     stats.cache_hits += cache.hits;
     stats.cache_misses += cache.misses;
-    stats.prefetch_loads += cache.prefetch_loads;
     stats.cache_evictions += cache.evictions;
     stats.state_bytes_read += static_cast<double>(m.reader.bytes_read());
     stats.peak_live_bytes =

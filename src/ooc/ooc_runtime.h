@@ -1,13 +1,13 @@
 // Orchestrator for real bounded-memory execution (DESIGN.md section
-// 13.6). One runtime per engine run owns, per machine: a MessageStream
-// for inter-round message overflow, a sectioned vertex-state file with
-// its StateFileReader, and a VertexCache governed by the shared
-// MemoryGovernor split of the hard budget. All round-lifecycle calls
-// are either machine-local (safe from the engine's per-machine prep and
-// delivery tasks) or main-thread barrier steps; prefetch is the only
-// background work, one ThreadPool job per machine, consumed strictly
-// after the pool barrier so results stay bit-identical at every thread
-// count, budget, and prefetch setting.
+// 13). One runtime per engine run owns, per machine: a MessageStream
+// for inter-round message overflow and the block it restores into, a
+// sectioned vertex-state file with its StateFileReader, and a
+// VertexCache governed by the shared MemoryGovernor split of the hard
+// budget. All round-lifecycle calls are either machine-local (safe from
+// the engine's per-machine prep and delivery tasks) or main-thread
+// barrier steps. The runtime runs no background work: sections load only
+// when a round touches them, so results stay bit-identical at every
+// thread count and budget.
 #ifndef VCMP_OOC_OOC_RUNTIME_H_
 #define VCMP_OOC_OOC_RUNTIME_H_
 
@@ -16,12 +16,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/message_block.h"
 #include "graph/graph.h"
 #include "ooc/memory_governor.h"
@@ -70,13 +68,19 @@ class OocRuntime {
   // (they run inside ParallelFor tasks); the engine folds them at the
   // next barrier via ConsumeError().
 
-  /// Streams last round's spilled messages back into `inbox`, appended
-  /// after the resident messages in original order.
-  void RestoreInbox(uint32_t machine, MessageBlock* inbox);
+  /// Refills restored(machine) with last round's spilled messages, in
+  /// the order they were spilled; empties it when nothing spilled.
+  void RestoreInbox(uint32_t machine);
+
+  /// The tail of `machine`'s inbox that the resident cap spilled, as
+  /// RestoreInbox streamed it back: the engine receives it after the
+  /// senders' truncated arenas. Stable for the runtime's lifetime.
+  const MessageBlock& restored(uint32_t machine) const {
+    return machines_[machine].restored;
+  }
 
   /// Makes the vertex-state sections behind this round's message
-  /// targets resident, in ascending section order, consuming prefetch
-  /// buffers where available and loading synchronously otherwise.
+  /// targets resident, in ascending section order.
   void TouchSections(uint32_t machine, std::span<const MessageRun> runs);
 
   /// Round 0: streams every section through the cache in order and
@@ -84,9 +88,9 @@ class OocRuntime {
   /// machine's vertex list) for shard planning.
   void StreamAllDegrees(uint32_t machine, std::vector<uint32_t>* degrees);
 
-  /// Delivery: spills outbox messages [from, from+count) to `machine`'s
-  /// stream, and closes the round's spill file.
-  void SpillMessages(uint32_t machine, const MessageBlock& outbox,
+  /// Delivery: spills a sender arena's messages [from, from+count) to
+  /// `machine`'s stream, and closes the round's spill file.
+  void SpillMessages(uint32_t machine, const MessageBlock& arena,
                      size_t from, size_t count);
   void FinishDeliverRound(uint32_t machine);
 
@@ -96,53 +100,33 @@ class OocRuntime {
     return machines_[machine].stream.has_spill();
   }
 
-  /// Queues next round's sections (from the resident inbox targets) and
-  /// launches one background read job per machine. No-op when prefetch
-  /// is disabled. The engine must call WaitPrefetch() before the next
-  /// round touches the caches.
-  void SchedulePrefetch(uint32_t machine, const MessageBlock& inbox);
-  void LaunchPrefetch(ThreadPool* pool);
-
-  /// Happens-before barrier for the background jobs LaunchPrefetch
-  /// submitted: after it returns their staged sections are plain data.
-  /// Scoped to THIS runtime's jobs (not a pool-wide drain), so several
-  /// queries can run their prefetchers on one shared pool without
-  /// coupling at each other's barriers.
-  void WaitPrefetch() { prefetch_group_.Wait(); }
-
   /// First recorded per-machine error, cleared; OK when none.
   Status ConsumeError();
 
   // --- Measured statistics -------------------------------------------
-
-  /// Messages restored into `machine`'s inbox this round (reset on read);
-  /// the engine bills these as measured spill bytes.
-  uint64_t TakeRestoredMessages(uint32_t machine);
 
   /// Real bytes streamed from the vertex-state layer for `machine` this
   /// round — section records plus 8 bytes per edge of the loaded
   /// sections' adjacency (reset on read).
   double TakeRoundStreamBytes(uint32_t machine);
 
-  /// Folds `inbox_and_outbox_real_bytes` with the runtime's own live
-  /// bytes (cache + spill staging) into the per-machine peak.
-  void NoteRoundLiveBytes(uint32_t machine,
-                          double inbox_and_outbox_real_bytes);
+  /// Folds `sent_real_bytes` (the round's outgoing arenas) with the
+  /// runtime's own live bytes (restored block + cache + spill staging)
+  /// into the per-machine peak.
+  void NoteRoundLiveBytes(uint32_t machine, double sent_real_bytes);
 
   OocRunStats run_stats() const;
 
  private:
   struct Machine {
     MessageStream stream;
+    MessageBlock restored;
     StateFileReader reader;
     VertexCache cache;
     std::vector<uint64_t> section_begin;  // Position bounds, size S+1.
     std::vector<double> section_degree_sum;
-    uint64_t restored_this_round = 0;
     double stream_bytes_this_round = 0.0;
     double peak_live_bytes = 0.0;
-    std::vector<uint32_t> prefetch_wish;
-    std::vector<std::pair<uint32_t, std::vector<VertexRecord>>> staged;
     std::vector<uint8_t> section_needed;  // Scratch, size S.
     Status error;
     std::string state_path;
@@ -153,7 +137,9 @@ class OocRuntime {
 
   uint32_t SectionOfPosition(const Machine& m, uint64_t position) const;
   static void RecordError(Machine& m, Status status);
-  Status LoadSection(Machine& m, uint32_t section);
+  /// Makes `section` resident: a hit touches it, a miss reads it and
+  /// bills its record and adjacency bytes to the round.
+  Status TouchSection(Machine& m, uint32_t section);
 
   std::string directory_;
   bool owns_directory_ = false;
@@ -163,10 +149,6 @@ class OocRuntime {
   std::deque<Machine> machines_;
   const std::vector<std::vector<VertexId>>* vertices_by_machine_ = nullptr;
   std::vector<uint64_t> position_of_vertex_;
-  bool prefetch_enabled_ = true;
-  /// Completion scope for the background prefetch jobs; the destructor's
-  /// implicit Wait keeps task captures of `machines_` alive long enough.
-  TaskGroup prefetch_group_;
 };
 
 }  // namespace vcmp

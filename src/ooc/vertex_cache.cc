@@ -44,21 +44,9 @@ void VertexCache::MakeRoom(uint32_t way, uint64_t incoming_bytes) {
   }
 }
 
-void VertexCache::Install(uint32_t section,
-                          std::vector<VertexRecord>&& records) {
-  const uint32_t way = section % ways_;
-  const uint64_t bytes = reader_->section_bytes(section);
-  MakeRoom(way, bytes);
-  Section& slot = sections_[section];
-  slot.records = std::move(records);
-  slot.resident = true;
-  way_bytes_[way] += bytes;
-  resident_bytes_ += bytes;
-  Touch(section);
-}
-
 Status VertexCache::EnsureResident(uint32_t section, bool* loaded_from_disk) {
-  if (sections_[section].resident) {
+  Section& slot = sections_[section];
+  if (slot.resident) {
     ++stats_.hits;
     Touch(section);
     if (loaded_from_disk != nullptr) *loaded_from_disk = false;
@@ -67,18 +55,17 @@ Status VertexCache::EnsureResident(uint32_t section, bool* loaded_from_disk) {
   ++stats_.misses;
   std::vector<VertexRecord> records;
   VCMP_RETURN_IF_ERROR(reader_->ReadSection(section, &records));
-  stats_.bytes_loaded += static_cast<double>(reader_->section_bytes(section));
-  Install(section, std::move(records));
+  const uint32_t way = section % ways_;
+  const uint64_t bytes = reader_->section_bytes(section);
+  stats_.bytes_loaded += static_cast<double>(bytes);
+  MakeRoom(way, bytes);
+  slot.records = std::move(records);
+  slot.resident = true;
+  way_bytes_[way] += bytes;
+  resident_bytes_ += bytes;
+  Touch(section);
   if (loaded_from_disk != nullptr) *loaded_from_disk = true;
   return Status::OK();
-}
-
-void VertexCache::ApplyLoaded(uint32_t section,
-                              std::vector<VertexRecord>&& records) {
-  if (sections_[section].resident) return;
-  ++stats_.prefetch_loads;
-  stats_.bytes_loaded += static_cast<double>(reader_->section_bytes(section));
-  Install(section, std::move(records));
 }
 
 }  // namespace vcmp

@@ -4,7 +4,7 @@
 // per-way byte budget. All mutation happens on the engine's fixed
 // barrier points in ascending section order, so the resident set —
 // and therefore every measured byte — evolves identically at any
-// thread count, with prefetch on or off.
+// thread count.
 #ifndef VCMP_OOC_VERTEX_CACHE_H_
 #define VCMP_OOC_VERTEX_CACHE_H_
 
@@ -21,7 +21,6 @@ class VertexCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t prefetch_loads = 0;
     uint64_t evictions = 0;
     double bytes_loaded = 0.0;  // Real bytes brought in from the file.
   };
@@ -40,11 +39,6 @@ class VertexCache {
   /// real read happened (false on a hit).
   Status EnsureResident(uint32_t section, bool* loaded_from_disk);
 
-  /// Installs a section buffer the prefetch worker already read. A
-  /// no-op when the section is somehow resident already; counted as a
-  /// prefetch load, not a miss.
-  void ApplyLoaded(uint32_t section, std::vector<VertexRecord>&& records);
-
   const std::vector<VertexRecord>& Records(uint32_t section) const {
     return sections_[section].records;
   }
@@ -61,7 +55,6 @@ class VertexCache {
 
   void Touch(uint32_t section) { sections_[section].lru_tick = ++tick_; }
   void MakeRoom(uint32_t way, uint64_t incoming_bytes);
-  void Install(uint32_t section, std::vector<VertexRecord>&& records);
 
   StateFileReader* reader_ = nullptr;
   std::vector<Section> sections_;

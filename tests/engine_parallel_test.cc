@@ -38,24 +38,15 @@ namespace {
 
 using testing_util::RelaxedCluster;
 
-TEST(ThreadPoolTest, SubmitAndWaitRunsEveryTask) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_workers(), 3u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPoolTest, ZeroWorkersExecutesInline) {
+  // No worker could take a queued shard, so both loops must run every
+  // index on the calling thread before they return.
   ThreadPool pool(0);
-  int count = 0;  // Not atomic: inline execution is single-threaded.
-  pool.Submit([&count] { ++count; });
-  EXPECT_EQ(count, 1);  // Already ran, before Wait.
-  pool.Wait();
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(pool.num_workers(), 0u);
+  std::vector<int> hits(5, 0);  // Not atomic: inline runs on the caller.
+  pool.ParallelFor(5, [&hits](uint32_t i) { ++hits[i]; });
+  pool.ParallelForStealable(5, [&hits](uint32_t i) { ++hits[i]; });
+  EXPECT_EQ(hits, std::vector<int>(5, 2));
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -67,7 +58,7 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
 
 TEST(ThreadPoolTest, ReusableAcrossManyBarriers) {
   // The engine reuses one pool for every superstep; the pool must survive
-  // many Submit/Wait and ParallelFor cycles without deadlock or loss.
+  // many ParallelFor cycles without deadlock or loss.
   ThreadPool pool(2);
   std::atomic<int> total{0};
   for (int round = 0; round < 200; ++round) {
@@ -547,19 +538,6 @@ TEST(CombineIndexTest, ManyClearCyclesBehaveLikeFreshTables) {
     EXPECT_EQ(index.size(), 64u);
     index.Clear();
   }
-}
-
-// --- Buffer reuse -----------------------------------------------------
-
-TEST(WorkerTest, ResetRetainsInboxCapacity) {
-  Worker worker;
-  worker.Reset();
-  worker.inbox().Reserve(10000);
-  size_t capacity = worker.inbox().capacity();
-  EXPECT_GE(capacity, 10000u);
-  worker.Reset();
-  EXPECT_TRUE(worker.inbox().empty());
-  EXPECT_GE(worker.inbox().capacity(), capacity);
 }
 
 // --- Engine determinism across thread counts -------------------------

@@ -21,11 +21,13 @@ TEST(WorkerTest, GroupInboxSortsByTargetThenTag) {
   Worker worker;
   worker.Reset();
   worker.SetLocalNumbering(local_index.data(), locals);
-  worker.inbox().PushBack(3, 1, 10.0, 1.0);
-  worker.inbox().PushBack(1, 2, 20.0, 1.0);
-  worker.inbox().PushBack(3, 0, 30.0, 1.0);
-  worker.inbox().PushBack(1, 1, 40.0, 1.0);
-  worker.FoldInbox(MessageFold::kNone);
+  MessageBlock inbox;
+  inbox.PushBack(3, 1, 10.0, 1.0);
+  inbox.PushBack(1, 2, 20.0, 1.0);
+  inbox.PushBack(3, 0, 30.0, 1.0);
+  inbox.PushBack(1, 1, 40.0, 1.0);
+  const MessageBlock* const segments[] = {&inbox};
+  worker.FoldInbox(segments, MessageFold::kNone);
   const std::span<const MessageRun> runs = worker.runs();
   ASSERT_EQ(runs.size(), 4u);
   EXPECT_EQ(runs[0].target, 1u);

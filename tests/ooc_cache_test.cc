@@ -1,5 +1,5 @@
 // Tests of the bounded-memory vertex-state layer: the sectioned LRU
-// VertexCache (way-local eviction, prefetch installs, byte accounting),
+// VertexCache (way-local eviction, byte accounting),
 // the MemoryGovernor budget split and infeasible floor, and OocRuntime
 // creation (directory lifecycle, floor validation).
 
@@ -82,28 +82,6 @@ TEST(VertexCacheTest, EvictionIsLruWithinAWay) {
   ASSERT_TRUE(cache.EnsureResident(0, &loaded).ok());
   EXPECT_FALSE(cache.IsResident(2));
   EXPECT_EQ(cache.resident_bytes(), 160u);
-}
-
-TEST(VertexCacheTest, ApplyLoadedCountsAsPrefetchNotMiss) {
-  StateFileReader reader;
-  MakeStateFile(TempPath("cache_prefetch.vvst"), 2, 5, &reader);
-  VertexCache cache;
-  cache.Configure(&reader, /*ways=*/1, /*capacity_bytes=*/4096);
-
-  std::vector<VertexRecord> buffer;
-  ASSERT_TRUE(reader.ReadSection(1, &buffer).ok());
-  cache.ApplyLoaded(1, std::move(buffer));
-  EXPECT_TRUE(cache.IsResident(1));
-  EXPECT_EQ(cache.stats().prefetch_loads, 1u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  // Installing over a resident section is a no-op, not a double count.
-  std::vector<VertexRecord> again;
-  ASSERT_TRUE(reader.ReadSection(1, &again).ok());
-  cache.ApplyLoaded(1, std::move(again));
-  EXPECT_EQ(cache.stats().prefetch_loads, 1u);
-  bool loaded = true;
-  ASSERT_TRUE(cache.EnsureResident(1, &loaded).ok());
-  EXPECT_FALSE(loaded);
 }
 
 TEST(MemoryGovernorTest, SharesAndResidentCap) {

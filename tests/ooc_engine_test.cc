@@ -1,8 +1,9 @@
-// Engine-level tests of real out-of-core execution: a run under a tight
-// hard memory budget must produce bit-identical task results to the
-// uncapped run at every thread count, with RoundStats carrying measured
-// (not modeled) spilled bytes, and prefetch must change nothing at all —
-// not even the simulated seconds.
+// Engine-level tests of real out-of-core execution: a run under a hard
+// memory budget, from the feasibility floor up to one that spills
+// nothing, must produce bit-identical task results to the uncapped run
+// at every thread count, with RoundStats carrying measured (not modeled)
+// spilled bytes, and the thread count must change nothing at all — not
+// even the simulated seconds or the cache counters.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +44,6 @@ const Partitioning& TestPartition() {
 struct OocRunConfig {
   uint32_t threads = 1;
   uint64_t budget_bytes = 0;  // 0 = real OOC off (uncapped).
-  bool prefetch = true;
   uint32_t sections = 8;
 };
 
@@ -64,7 +64,6 @@ EngineOptions GraphDOptions(const OocRunConfig& config) {
     options.ooc.memory_budget_bytes = config.budget_bytes;
     options.ooc.cache_sections = config.sections;
     options.ooc.cache_ways = 2;
-    options.ooc.prefetch = config.prefetch;
     options.ooc.spill_page_messages = 64;
   }
   return options;
@@ -95,6 +94,26 @@ OocRunOutcome RunPageRank(const OocRunConfig& config) {
 /// the infeasible floor for the 4-machine test layout.
 constexpr uint64_t kTightBudget = 12'000;
 
+/// A budget whose resident cap (0.6 B / 33.6 bytes, about 71k messages)
+/// exceeds a whole PageRank round's traffic (one message per edge), so
+/// nothing spills although the real OOC runtime is on.
+constexpr uint64_t kRoomyBudget = 4'000'000;
+
+/// The exact infeasible floor for the test layout: the smallest budget
+/// the runtime accepts.
+uint64_t FloorBudget(const EngineOptions& options) {
+  std::vector<std::vector<VertexId>> by_machine(4);
+  for (VertexId v = 0; v < TestGraph().NumVertices(); ++v) {
+    by_machine[TestPartition().MachineOf(v)].push_back(v);
+  }
+  OocRuntime::Setup setup;
+  setup.options = options.ooc;
+  setup.machines = 4;
+  setup.bytes_per_message = options.profile.bytes_per_message;
+  setup.message_memory_overhead = options.profile.message_memory_overhead;
+  return OocRuntime::MinFeasibleBudgetBytes(setup, by_machine);
+}
+
 /// Task results (not costs: a capped run legitimately bills extra disk
 /// time) must be bit-identical between two runs.
 void ExpectSameTaskResults(const OocRunOutcome& a, const OocRunOutcome& b) {
@@ -122,6 +141,8 @@ void ExpectFullyIdentical(const OocRunOutcome& a, const OocRunOutcome& b) {
   EXPECT_EQ(a.result.ooc.spilled_messages, b.result.ooc.spilled_messages);
   EXPECT_EQ(a.result.ooc.restored_messages, b.result.ooc.restored_messages);
   EXPECT_EQ(a.result.ooc.state_bytes_read, b.result.ooc.state_bytes_read);
+  EXPECT_EQ(a.result.ooc.cache_hits, b.result.ooc.cache_hits);
+  EXPECT_EQ(a.result.ooc.cache_misses, b.result.ooc.cache_misses);
   EXPECT_EQ(a.result.ooc.cache_evictions, b.result.ooc.cache_evictions);
   EXPECT_EQ(a.result.ooc.peak_live_bytes, b.result.ooc.peak_live_bytes);
   for (size_t i = 0; i < a.result.rounds.size(); ++i) {
@@ -167,23 +188,45 @@ TEST(OocEngineTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(OocEngineTest, PrefetchChangesNothingButCounters) {
-  OocRunOutcome on = RunPageRank(
-      {.threads = 4, .budget_bytes = kTightBudget, .prefetch = true});
-  OocRunOutcome off = RunPageRank(
-      {.threads = 4, .budget_bytes = kTightBudget, .prefetch = false});
-  // Identical in every measured byte and simulated second; the only
-  // difference is which counter a section load lands in (prefetch_loads
-  // vs cache_misses).
-  ExpectFullyIdentical(on, off);
-  EXPECT_EQ(on.result.ooc.cache_hits, off.result.ooc.cache_hits);
-  EXPECT_EQ(on.result.ooc.prefetch_loads + on.result.ooc.cache_misses,
-            off.result.ooc.prefetch_loads + off.result.ooc.cache_misses);
-  EXPECT_GT(on.result.ooc.prefetch_loads, 0u);
-  EXPECT_EQ(off.result.ooc.prefetch_loads, 0u);
-  // The vertex cache evicts while the prefetcher stages sections, so the
-  // identity above holds with eviction and prefetch both at work.
-  EXPECT_GT(on.result.ooc.cache_evictions, 0u);
+TEST(OocEngineTest, EvictingCacheIsIdenticalAcrossThreadCounts) {
+  OocRunOutcome serial =
+      RunPageRank({.threads = 1, .budget_bytes = kTightBudget});
+  OocRunOutcome parallel =
+      RunPageRank({.threads = 4, .budget_bytes = kTightBudget});
+  // Every measured byte, simulated second and cache hit, miss and
+  // eviction, while the vertex cache evicts: sections load only on the
+  // per-machine prep tasks, in ascending order, whatever the threads.
+  ExpectFullyIdentical(serial, parallel);
+  EXPECT_GT(serial.result.ooc.cache_evictions, 0u);
+  EXPECT_EQ(serial.result.ooc.prefetch_loads, 0u);
+}
+
+TEST(OocEngineTest, CutAtEveryBudgetEdgeMatchesUncapped) {
+  // Delivery cuts each inbox into the senders' truncated arenas and the
+  // spilled tail that comes back behind them. At the floor almost every
+  // message spills, at the tight budget too but under a larger cap, and
+  // at the roomy budget the cut never falls.
+  const OocRunOutcome uncapped = RunPageRank({.threads = 1});
+  const uint64_t floor =
+      FloorBudget(GraphDOptions({.budget_bytes = kTightBudget}));
+  ASSERT_LT(floor, kTightBudget);
+  for (uint64_t budget : {floor, kTightBudget, kRoomyBudget}) {
+    for (uint32_t threads : {1u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "budget " << budget << ", threads " << threads);
+      const OocRunOutcome capped =
+          RunPageRank({.threads = threads, .budget_bytes = budget});
+      ASSERT_TRUE(capped.result.ooc_active);
+      ExpectSameTaskResults(uncapped, capped);
+      EXPECT_EQ(capped.result.ooc.spilled_messages,
+                capped.result.ooc.restored_messages);
+      if (budget == kRoomyBudget) {
+        EXPECT_EQ(capped.result.ooc.spilled_messages, 0u);
+      } else {
+        EXPECT_GT(capped.result.ooc.spilled_messages, 0u);
+      }
+    }
+  }
 }
 
 TEST(OocEngineTest, SectionCountChangesCostsNotResults) {
@@ -230,17 +273,7 @@ TEST(OocEngineTest, InfeasibleByOneBudgetIsRejected) {
   EngineOptions options = GraphDOptions(config);
 
   // Recompute the exact floor for this layout, then undershoot by one.
-  std::vector<std::vector<VertexId>> by_machine(4);
-  for (VertexId v = 0; v < TestGraph().NumVertices(); ++v) {
-    by_machine[TestPartition().MachineOf(v)].push_back(v);
-  }
-  OocRuntime::Setup setup;
-  setup.options = options.ooc;
-  setup.machines = 4;
-  setup.bytes_per_message = options.profile.bytes_per_message;
-  setup.message_memory_overhead = options.profile.message_memory_overhead;
-  const uint64_t floor =
-      OocRuntime::MinFeasibleBudgetBytes(setup, by_machine);
+  const uint64_t floor = FloorBudget(options);
   ASSERT_GT(floor, 1u);
   ASSERT_LE(floor, kTightBudget);  // The tight budget really is feasible.
 
