@@ -24,7 +24,7 @@ EngineResult RunWith(uint64_t checkpoint_interval, uint64_t failure_round) {
   options.stat_scale = dataset.scale;
   options.checkpoint_interval_rounds = checkpoint_interval;
   options.inject_failure_at_round = failure_round;
-  TaskContext context{&dataset.graph, &partition, dataset.scale, false};
+  TaskContext context{&dataset.graph, &partition, dataset.scale};
   BpprTask task;
   auto program =
       task.MakeProgram(context, ProgramFlavor::kPointToPoint, 2048, 7);

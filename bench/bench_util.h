@@ -39,9 +39,9 @@ inline double BenchScale(DatasetId id) {
 }
 
 /// Cache of generated stand-ins (several benches sweep one dataset many
-/// times). `scale_override` > 0 replaces the bench default — used for
-/// settings whose traffic is quadratic in the generated size (per-source
-/// BPPR on GraphLab, mirror diffusion).
+/// times). `scale_override` > 0 replaces the bench default — the GraphLab
+/// panels of Figures 3(d) and 5(d) run their counting BPPR on a coarser
+/// stand-in (scale 512).
 inline const Dataset& CachedDataset(DatasetId id,
                                     double scale_override = 0.0) {
   double scale = scale_override > 0.0 ? scale_override : BenchScale(id);

@@ -15,7 +15,7 @@ namespace vcmp {
 
 /// Persistent fixed-size worker pool with two barrier loops.
 ///
-/// The engines reuse one pool for every superstep of a run, replacing the
+/// SyncEngine reuses one pool for every superstep of a run, replacing the
 /// per-round std::thread spawn/join that dominated the orchestration cost
 /// of short rounds. Workers are started once in the constructor and
 /// parked on a condition variable between rounds; each ParallelFor /
@@ -73,9 +73,9 @@ class ThreadPool {
   }
 
   /// Single policy point for turning an `execution_threads` option into a
-  /// worker count: 0 means "use the hardware", and the hardware clamp is
-  /// applied only when the caller asked for it. Both engines route their
-  /// thread options through here so they cannot drift apart.
+  /// thread count: 0 means "use the hardware", and the hardware clamp is
+  /// applied only when the caller asked for it. MultiProcessingRunner
+  /// clamps; SyncEngine and ConcurrentRunner run what they are given.
   static uint32_t ResolveThreads(uint32_t requested, bool clamp_to_hardware) {
     uint32_t threads = requested == 0 ? HardwareThreads()
                                       : std::max(1u, requested);
@@ -94,30 +94,6 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// Sorts [begin, end) with `cmp` using the pool: shards are sorted
-/// concurrently, then merged in fixed shard order. For a strict total
-/// order (every tie broken deterministically, e.g. by vertex id) the
-/// output is bit-identical to a serial std::sort.
-template <typename Iter, typename Cmp>
-void ParallelSort(ThreadPool& pool, Iter begin, Iter end, Cmp cmp) {
-  const size_t n = static_cast<size_t>(end - begin);
-  constexpr size_t kMinChunk = 4096;  // Below this, sharding costs more.
-  const uint32_t shards = static_cast<uint32_t>(
-      std::min<size_t>(pool.num_workers() + 1, std::max<size_t>(n / kMinChunk, 1)));
-  if (shards <= 1) {
-    std::sort(begin, end, cmp);
-    return;
-  }
-  std::vector<size_t> bounds(shards + 1);
-  for (uint32_t s = 0; s <= shards; ++s) bounds[s] = n * s / shards;
-  pool.ParallelFor(shards, [&](uint32_t s) {
-    std::sort(begin + bounds[s], begin + bounds[s + 1], cmp);
-  });
-  for (uint32_t s = 2; s <= shards; ++s) {
-    std::inplace_merge(begin, begin + bounds[s - 1], begin + bounds[s], cmp);
-  }
-}
 
 }  // namespace vcmp
 

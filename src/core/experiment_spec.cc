@@ -1,5 +1,9 @@
 #include "core/experiment_spec.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "common/string_util.h"
@@ -37,52 +41,129 @@ Result<ClusterSpec> ResolveCluster(const ExperimentSpec& spec) {
   return cluster;
 }
 
-/// Parses "equal:4", "twobatch:2560", "geometric:5,0.5", "tuned",
-/// "search".
+/// A parsed `schedule` value.
+struct ScheduleSpec {
+  std::string kind;      // equal | twobatch | geometric | tuned | search
+  uint32_t batches = 0;  // equal, geometric
+  double delta = 0.0;    // twobatch
+  double ratio = 0.0;    // geometric
+};
+
+Status SpecError(const ExperimentSpec& spec, const std::string& message) {
+  return Status::InvalidArgument("experiment '" + spec.name + "': " +
+                                 message);
+}
+
+/// Strict parse of a whole decimal or floating-point string.
+bool ParseNumber(const std::string& text, double* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtod(text.c_str(), &end);
+  return errno == 0 && end != text.c_str() && *end == '\0' &&
+         std::isfinite(*value);
+}
+
+/// Strict parse of a batch count: a whole integer in [1, 2^32).
+Result<uint32_t> ParseBatchCount(const ExperimentSpec& spec,
+                                 const std::string& text) {
+  double value = 0.0;
+  if (!ParseNumber(text, &value) || value != std::floor(value) ||
+      value < 1.0 || value > std::numeric_limits<uint32_t>::max()) {
+    return SpecError(spec, "schedule '" + spec.schedule +
+                               "' needs a positive integer batch count, "
+                               "got '" + text + "'");
+  }
+  return static_cast<uint32_t>(value);
+}
+
+/// Parses "equal:4", "twobatch:2560", "geometric:5,0.5", "tuned" or
+/// "search", and checks every value against the workload, so a schedule
+/// BatchSchedule would refuse is an InvalidArgument here.
+Result<ScheduleSpec> ParseSchedule(const ExperimentSpec& spec) {
+  if (!(spec.workload > 0.0) || !std::isfinite(spec.workload)) {
+    return SpecError(spec, StrFormat("workload must be positive, got %g",
+                                     spec.workload));
+  }
+  std::vector<std::string> parts = SplitString(spec.schedule, ":");
+  ScheduleSpec schedule;
+  schedule.kind = parts.empty() ? "" : parts[0];
+  if (schedule.kind == "tuned" || schedule.kind == "search") {
+    return schedule;
+  }
+  if (parts.size() != 2) {
+    return SpecError(spec, "malformed schedule '" + spec.schedule + "'");
+  }
+  if (schedule.kind == "equal") {
+    VCMP_ASSIGN_OR_RETURN(schedule.batches, ParseBatchCount(spec, parts[1]));
+    return schedule;
+  }
+  if (schedule.kind == "twobatch") {
+    if (!ParseNumber(parts[1], &schedule.delta) ||
+        std::fabs(schedule.delta) > spec.workload) {
+      return SpecError(spec, "schedule '" + spec.schedule +
+                                 "' needs a delta with |delta| <= the "
+                                 "workload " +
+                                 StrFormat("%g", spec.workload));
+    }
+    return schedule;
+  }
+  if (schedule.kind == "geometric") {
+    std::vector<std::string> args = SplitString(parts[1], ",");
+    if (args.size() != 2) {
+      return SpecError(spec,
+                       "geometric schedule needs 'geometric:K,RATIO'");
+    }
+    VCMP_ASSIGN_OR_RETURN(schedule.batches, ParseBatchCount(spec, args[0]));
+    if (!ParseNumber(args[1], &schedule.ratio) || !(schedule.ratio > 0.0) ||
+        schedule.ratio > 1.0) {
+      return SpecError(spec, "schedule '" + spec.schedule +
+                                 "' needs a ratio in (0, 1], got '" +
+                                 args[1] + "'");
+    }
+    return schedule;
+  }
+  return SpecError(spec, "unknown schedule kind '" + schedule.kind + "'");
+}
+
 Result<BatchSchedule> ResolveSchedule(const ExperimentSpec& spec,
                                       const Dataset& dataset,
                                       const RunnerOptions& options,
                                       const MultiTask& task) {
-  std::vector<std::string> parts = SplitString(spec.schedule, ":");
-  const std::string& kind = parts[0];
-  if (kind == "tuned") {
+  VCMP_ASSIGN_OR_RETURN(ScheduleSpec schedule, ParseSchedule(spec));
+  if (schedule.kind == "tuned") {
     Tuner tuner(dataset, options);
     VCMP_ASSIGN_OR_RETURN(TunedPlan plan,
                           tuner.Tune(task, spec.workload));
     return plan.schedule;
   }
-  if (kind == "search") {
+  if (schedule.kind == "search") {
     VCMP_ASSIGN_OR_RETURN(
         BatchSearchResult search,
         FindOptimalBatchCount(dataset, options, task, spec.workload));
     return BatchSchedule::Equal(spec.workload, search.best_batches);
   }
-  if (parts.size() != 2) {
-    return Status::InvalidArgument("experiment '" + spec.name +
-                                   "': malformed schedule '" +
-                                   spec.schedule + "'");
+  if (schedule.kind == "equal") {
+    return BatchSchedule::Equal(spec.workload, schedule.batches);
   }
-  if (kind == "equal") {
-    return BatchSchedule::Equal(
-        spec.workload, static_cast<uint32_t>(std::atoi(parts[1].c_str())));
+  if (schedule.kind == "twobatch") {
+    return BatchSchedule::TwoBatch(spec.workload, schedule.delta);
   }
-  if (kind == "twobatch") {
-    return BatchSchedule::TwoBatch(spec.workload,
-                                   std::atof(parts[1].c_str()));
+  return BatchSchedule::GeometricDecay(spec.workload, schedule.batches,
+                                       schedule.ratio);
+}
+
+/// Reads an integer key that must fit a uint32_t (negative values would
+/// wrap to about four billion).
+Result<uint32_t> GetUint32(const IniDocument::Section& section,
+                           const std::string& key) {
+  VCMP_ASSIGN_OR_RETURN(int64_t value, IniDocument::GetInt(section, key, 0));
+  if (value < 0 || value > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "experiment '" + section.name + "': " + key + " must be in [0, " +
+        std::to_string(std::numeric_limits<uint32_t>::max()) + "], got " +
+        std::to_string(value));
   }
-  if (kind == "geometric") {
-    std::vector<std::string> args = SplitString(parts[1], ",");
-    if (args.size() != 2) {
-      return Status::InvalidArgument(
-          "experiment '" + spec.name +
-          "': geometric schedule needs 'geometric:K,RATIO'");
-    }
-    return BatchSchedule::GeometricDecay(
-        spec.workload, static_cast<uint32_t>(std::atoi(args[0].c_str())),
-        std::atof(args[1].c_str()));
-  }
-  return Status::InvalidArgument("experiment '" + spec.name +
-                                 "': unknown schedule kind '" + kind + "'");
+  return static_cast<uint32_t>(value);
 }
 
 }  // namespace
@@ -108,9 +189,7 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpecs(
     spec.task = IniDocument::GetString(section, "task", spec.task);
     spec.system = IniDocument::GetString(section, "system", spec.system);
     spec.cluster = IniDocument::GetString(section, "cluster", spec.cluster);
-    VCMP_ASSIGN_OR_RETURN(int64_t machines,
-                          IniDocument::GetInt(section, "machines", 0));
-    spec.machines = static_cast<uint32_t>(machines);
+    VCMP_ASSIGN_OR_RETURN(spec.machines, GetUint32(section, "machines"));
     VCMP_ASSIGN_OR_RETURN(
         spec.workload,
         IniDocument::GetDouble(section, "workload", spec.workload));
@@ -121,12 +200,11 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpecs(
     VCMP_ASSIGN_OR_RETURN(int64_t seed,
                           IniDocument::GetInt(section, "seed", 1));
     spec.seed = static_cast<uint64_t>(seed);
-    VCMP_ASSIGN_OR_RETURN(int64_t threads,
-                          IniDocument::GetInt(section, "threads", 0));
-    spec.threads = static_cast<uint32_t>(threads);
+    VCMP_ASSIGN_OR_RETURN(spec.threads, GetUint32(section, "threads"));
     spec.memory_budget =
         IniDocument::GetString(section, "memory_budget", "");
     spec.ooc_dir = IniDocument::GetString(section, "ooc_dir", "");
+    VCMP_RETURN_IF_ERROR(ParseSchedule(spec).status());
     specs.push_back(std::move(spec));
   }
   if (specs.empty()) {

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "obs/tracer.h"
 #include "sim/monetary_model.h"
 
@@ -40,8 +41,7 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
   report.cluster = options_.cluster.name;
   report.workload = schedule.TotalWorkload();
 
-  TaskContext context{&dataset_.graph, partition_, dataset_.scale,
-                      profile_.combines_messages};
+  TaskContext context{&dataset_.graph, partition_, dataset_.scale};
   ProgramFlavor flavor = profile_.mirroring ? ProgramFlavor::kBroadcast
                                             : ProgramFlavor::kPointToPoint;
 
@@ -77,6 +77,10 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
   // 0 reproduces the historical seed sequence exactly.
   const uint64_t program_seed_base =
       Rng::QuerySeed(options_.seed, options_.query_id);
+  // Results are thread-count invariant, so threads beyond the hardware's
+  // would only add context switches: the engines get the clamped count.
+  const uint32_t engine_threads = ThreadPool::ResolveThreads(
+      options_.execution_threads, /*clamp_to_hardware=*/true);
 
   uint64_t batch_index = 0;
   for (double workload : schedule.workloads()) {
@@ -95,7 +99,7 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
     engine_options.stat_scale = dataset_.scale;
     engine_options.carryover_residual_bytes = carryover;
     engine_options.max_rounds = options_.max_rounds;
-    engine_options.execution_threads = options_.execution_threads;
+    engine_options.execution_threads = engine_threads;
     engine_options.collect_phase_times = options_.collect_phase_times;
     engine_options.checkpoint_interval_rounds =
         options_.checkpoint_interval_rounds;

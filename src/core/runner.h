@@ -46,8 +46,8 @@ struct RunnerOptions {
   uint64_t max_rounds = 4096;
   /// Compute/delivery threads per engine run (results are thread-count
   /// invariant; see EngineOptions::execution_threads). 0 = auto: one
-  /// thread per hardware core. The engine caps the count at the hardware
-  /// concurrency.
+  /// thread per hardware core. The runner caps the count at the hardware
+  /// concurrency before handing it to the engine.
   uint32_t execution_threads = 0;
   /// Pregel checkpointing every N rounds (0 = off); applied per batch.
   uint64_t checkpoint_interval_rounds = 0;

@@ -1,38 +1,10 @@
 #include "engine/frontier.h"
 
-#include <algorithm>
-
 namespace vcmp {
 
 void VertexFrontier::Reset(VertexId universe) {
   universe_ = universe;
   words_.assign((static_cast<size_t>(universe) + 63) / 64, 0);
-  pending_.clear();
-  active_count_ = 0;
-}
-
-void VertexFrontier::Clear() {
-  if (active_count_ > 0) {
-    if (active_count_ * 100 >= static_cast<size_t>(universe_) *
-                                   kDenseClearPercent) {
-      std::fill(words_.begin(), words_.end(), 0);
-    } else {
-      size_t cleared = 0;
-      for (VertexId v : pending_) {
-        const uint64_t mask = uint64_t{1} << (v & 63);
-        uint64_t& word = words_[v >> 6];
-        if ((word & mask) != 0) {
-          word &= ~mask;
-          ++cleared;
-        }
-      }
-      // Vertices taken but never deactivated are no longer in the
-      // pending list; if any such bits survive, wipe densely.
-      if (cleared != active_count_) {
-        std::fill(words_.begin(), words_.end(), 0);
-      }
-    }
-  }
   pending_.clear();
   active_count_ = 0;
 }

@@ -20,20 +20,8 @@ namespace vcmp {
 /// — signals arriving for a vertex that is activated but not yet
 /// consumed must keep folding into the same pending activation, not
 /// schedule it twice.
-///
-/// Clear() wipes all membership, choosing its strategy by occupancy:
-/// when the active set is a large fraction of the universe a bitmap
-/// memset is cheaper; when it is sparse the bits are cleared per active
-/// vertex (see kDenseClearPercent). Callers that Take() the list and
-/// then Clear() without deactivating must not rely on the sparse path —
-/// the engine deactivates every consumed vertex, so both paths see an
-/// exact membership record.
 class VertexFrontier {
  public:
-  /// Dense/sparse switch: Clear() memsets the bitmap when active
-  /// vertices exceed this percentage of the universe.
-  static constexpr size_t kDenseClearPercent = 3;
-
   /// Sizes the frontier for vertices [0, universe) and clears all state.
   void Reset(VertexId universe);
 
@@ -73,10 +61,6 @@ class VertexFrontier {
     pending_.clear();  // Moved-from vector is valid but unspecified.
     return taken;
   }
-
-  /// Deactivates everything and drops the pending list. Occupancy-chosen:
-  /// dense memset vs per-active-bit clear (see class comment).
-  void Clear();
 
  private:
   std::vector<uint64_t> words_;

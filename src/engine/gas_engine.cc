@@ -4,87 +4,11 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "engine/frontier.h"
 #include "obs/tracer.h"
 #include "sim/round_load.h"
 
 namespace vcmp {
-
-namespace {
-
-/// One logged Signal call (replayed later in deterministic order).
-struct GasSignalEvent {
-  VertexId target;
-  double value;
-  double multiplicity;
-};
-
-/// Per-processed-vertex record of a shard's event log.
-struct GasVertexRecord {
-  VertexId vertex;
-  uint32_t first_event;
-  uint32_t num_events = 0;
-  double compute_units = 0.0;
-  double residual_bytes = 0.0;
-};
-
-/// Shard-local GasContext for the synchronous sharded Process phase: it
-/// only LOGS what the program did — signals, compute units, residual
-/// bytes — keyed by processed vertex. The engine replays the logs in
-/// fixed shard order through the real Context afterwards, so the global
-/// accumulator/frontier/wire-stat folds happen in frontier order no
-/// matter how shards were scheduled. rng() is reseeded per vertex from
-/// (seed, pass, vertex), making draw sequences shard-layout invariant.
-class GasShardLog : public GasContext {
- public:
-  void Configure(uint64_t seed, uint64_t query) {
-    seed_ = seed;
-    query_ = query;
-  }
-
-  void BeginPass(uint64_t pass) {
-    pass_ = pass;
-    events_.clear();
-    records_.clear();
-  }
-
-  void BeginVertex(VertexId v) {
-    records_.push_back(GasVertexRecord{
-        v, static_cast<uint32_t>(events_.size()), 0, 0.0, 0.0});
-    current_ = &records_.back();
-    rng_ = Rng(Rng::MixSeed(seed_, query_, pass_, v));
-  }
-
-  void Signal(VertexId target, double value, double multiplicity) override {
-    events_.push_back(GasSignalEvent{target, value, multiplicity});
-    ++current_->num_events;
-  }
-  void AddComputeUnits(double units) override {
-    current_->compute_units += units;
-  }
-  void AddResidualBytes(double bytes) override {
-    current_->residual_bytes += bytes;
-  }
-  Rng& rng() override { return rng_; }
-  uint64_t pass() const override { return pass_; }
-
-  const std::vector<GasSignalEvent>& events() const { return events_; }
-  const std::vector<GasVertexRecord>& records() const { return records_; }
-
- private:
-  uint64_t seed_ = 0;
-  uint64_t query_ = 0;
-  uint64_t pass_ = 0;
-  Rng rng_{0};
-  GasVertexRecord* current_ = nullptr;
-  std::vector<GasSignalEvent> events_;
-  std::vector<GasVertexRecord> records_;
-};
-
-constexpr uint32_t kDefaultGasShards = 16;
-
-}  // namespace
 
 /// Accumulator-based scheduling context shared by both modes.
 class GasEngine::Context : public GasContext {
@@ -156,15 +80,11 @@ class GasEngine::Context : public GasContext {
   }
   void SetSender(uint32_t machine) { sender_machine_ = machine; }
 
-  /// Reseeds the context RNG for the serial (async) Process path — the
-  /// same (seed, query, pass, vertex) mix the sharded path uses, so a
+  /// Reseeds the context RNG from (seed, query, pass, vertex), so a
   /// program gets identical draws for a given activation in either mode.
   void BeginVertex(VertexId v) {
     rng_ = Rng(Rng::MixSeed(engine_->options_.seed, query_, pass_, v));
   }
-
-  /// Reads the accumulated signal of v without consuming it.
-  double PendingSignal(VertexId v) const { return acc_[v]; }
 
   /// Takes the accumulated signal of v and clears its scheduling mark.
   double Consume(VertexId v) {
@@ -209,7 +129,7 @@ class GasEngine::Context : public GasContext {
   Rng rng_{0};
   std::vector<double> acc_;
   /// Per-machine AddResidualBytes totals, accumulated over the whole run
-  /// (folded in frontier/replay order — thread-count invariant).
+  /// in frontier order.
   std::vector<double> residual_ledger_;
   /// Dense-bitmap + sparse-list active set (engine/frontier.h): O(1)
   /// membership tests during signal accumulation, Take() hands out only
@@ -253,27 +173,6 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
 
   Context context(this, ctx.query_id);
 
-  // Pool for the engine's parallel sections: the context's shared pool
-  // when one is set (concurrent multi-query runs), else a private
-  // per-run pool. Synchronous passes run the Process loop itself over
-  // fixed frontier shards (logs replayed in shard order — see
-  // GasShardLog); the asynchronous loop stays serial because in-pass
-  // signal folding is its semantics.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (ctx.pool == nullptr) {
-    const uint32_t thread_count = ThreadPool::ResolveThreads(
-        options_.execution_threads, options_.clamp_threads_to_hardware);
-    owned_pool = std::make_unique<ThreadPool>(thread_count - 1);
-  }
-  ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : *owned_pool;
-  const uint32_t shards = options_.compute_shards == 0
-                              ? kDefaultGasShards
-                              : options_.compute_shards;
-  std::vector<GasShardLog> shard_logs(profile.synchronous ? shards : 0);
-  for (GasShardLog& log : shard_logs) {
-    log.Configure(options_.seed, ctx.query_id);
-  }
-
   Tracer* const tracer = options_.tracer;
   uint32_t trace_track = options_.trace_track;
   if (tracer != nullptr && trace_track == GasOptions::kAutoTrack) {
@@ -281,10 +180,6 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
   }
 
   GasResult result;
-  const double replication_factor =
-      options_.vertex_cut != nullptr
-          ? options_.vertex_cut->ReplicationFactor()
-          : 1.0;
   double total_processed_signals = 0.0;  // For async pricing.
   double total_activations = 0.0;
   double total_compute_units = 0.0;
@@ -297,79 +192,28 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
   std::vector<VertexId> frontier = context.TakeFrontier();
   for (uint64_t pass = 1; pass <= options_.max_passes && !frontier.empty();
        ++pass) {
-    if (!profile.synchronous && options_.priority_scheduling) {
-      // Priority scheduling: largest pending signal first. The tie-break
-      // by vertex id makes the comparator a strict total order, so the
-      // pool-sharded merge sort is bit-identical to a serial sort.
-      ParallelSort(pool, frontier.begin(), frontier.end(),
-                   [&](VertexId a, VertexId b) {
-                     double sa = context.PendingSignal(a);
-                     double sb = context.PendingSignal(b);
-                     if (sa != sb) return sa > sb;
-                     return a < b;
-                   });
-    }
-    // Snapshot the pass's send-side stats while processing.
     context.BeginPass(pass);
     double pass_logical = 0.0;
+    // A synchronous pass consumes its whole frontier first, so every
+    // signal it sends lands in the NEXT pass's accumulators (the
+    // bulk-synchronous semantics). An asynchronous pass consumes each
+    // vertex as it reaches it: signals sent to frontier vertices not yet
+    // consumed fold into the *current* pass (eager propagation, the
+    // behaviour the async pricing models).
+    std::vector<double> signals;
     if (profile.synchronous) {
-      // Sharded synchronous pass. Phase A: snapshot-consume every
-      // frontier signal up front (serial, cheap) — all signals emitted in
-      // this pass land in the NEXT pass's accumulators, the
-      // bulk-synchronous semantics. Phase B: fixed contiguous frontier
-      // shards run the programs concurrently, logging into per-shard
-      // event logs (stealable; outputs are per-shard state only).
-      // Phase C: replay the logs in shard order — equal to frontier
-      // order — through the real signal path, so the accumulator and
-      // wire-combining folds are bit-identical at every thread count and
-      // every shard count.
-      const size_t frontier_size = frontier.size();
-      std::vector<double> signals(frontier_size);
-      for (size_t i = 0; i < frontier_size; ++i) {
+      signals.resize(frontier.size());
+      for (size_t i = 0; i < frontier.size(); ++i) {
         signals[i] = context.Consume(frontier[i]);
       }
-      const auto shard_begin = [&](uint32_t s) {
-        return static_cast<size_t>(static_cast<uint64_t>(frontier_size) *
-                                   s / shards);
-      };
-      pool.ParallelForStealable(shards, [&](uint32_t s) {
-        GasShardLog& log = shard_logs[s];
-        log.BeginPass(pass);
-        const size_t begin = shard_begin(s);
-        const size_t end = shard_begin(s + 1);
-        for (size_t i = begin; i < end; ++i) {
-          log.BeginVertex(frontier[i]);
-          program.Process(frontier[i], signals[i], log);
-        }
-      });
-      for (uint32_t s = 0; s < shards; ++s) {
-        const GasShardLog& log = shard_logs[s];
-        for (const GasVertexRecord& record : log.records()) {
-          context.SetSender(partition_.MachineOf(record.vertex));
-          for (uint32_t e = 0; e < record.num_events; ++e) {
-            const GasSignalEvent& event =
-                log.events()[record.first_event + e];
-            context.Signal(event.target, event.value, event.multiplicity);
-          }
-          if (record.compute_units != 0.0) {
-            context.AddComputeUnits(record.compute_units);
-          }
-          if (record.residual_bytes != 0.0) {
-            context.AddResidualBytes(record.residual_bytes);
-          }
-        }
-      }
-    } else {
-      // Asynchronous scheduling is sequential by semantics: signals sent
-      // to frontier vertices that have not been consumed yet fold into
-      // the *current* pass (eager propagation — the behaviour the async
-      // pricing models), which fixes a serial frontier order.
-      for (VertexId v : frontier) {
-        double signal = context.Consume(v);
-        context.SetSender(partition_.MachineOf(v));
-        context.BeginVertex(v);
-        program.Process(v, signal, context);
-      }
+    }
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const VertexId v = frontier[i];
+      const double signal =
+          profile.synchronous ? signals[i] : context.Consume(v);
+      context.SetSender(partition_.MachineOf(v));
+      context.BeginVertex(v);
+      program.Process(v, signal, context);
     }
     total_activations += frontier.size();
     result.passes = pass;
@@ -378,10 +222,7 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
     // Received == sent within the pass (accumulators are consumed next
     // pass; attribute the traffic to this pass).
     double pass_messages = 0.0;
-    // Machines are independent here (shard m touches only loads[m] and
-    // cross_bytes_per_machine[m]); the scalar reductions stay serial below
-    // so their floating-point order never depends on the thread count.
-    pool.ParallelFor(machines, [&](uint32_t m) {
+    for (uint32_t m = 0; m < machines; ++m) {
       MachineRoundLoad& load = loads[m];
       load.recv_messages = context.logical_signals()[m] * scale;
       // Combining shrinks wire traffic, not gather work: every logical
@@ -401,37 +242,14 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
       load.state_bytes =
           (graph_share_bytes_[m] + program.StateBytes(m)) * scale;
       load.residual_bytes = context.residual_ledger()[m] * scale;
-      // vcmp:deterministic-reduction(slot m is owned by shard m; one add per pass in fixed pass order, thread-count invariant)
       cross_bytes_per_machine[m] += load.cross_bytes_out;
-    });
-    for (uint32_t m = 0; m < machines; ++m) {
-      pass_messages += loads[m].recv_messages;
+      pass_messages += load.recv_messages;
       pass_logical += context.logical_signals()[m];
       total_compute_units += context.compute_units()[m];
     }
     // Activations per machine for the cost model's per-vertex term.
     for (VertexId v : frontier) {
       loads[partition_.MachineOf(v)].active_vertices += scale;
-    }
-    if (options_.vertex_cut != nullptr) {
-      // Vertex-cut deployment: the wire traffic is replica
-      // synchronisation, not per-edge signals — each active vertex
-      // exchanges 2*(replicas-1) messages with its mirrors.
-      const VertexCut& cut = *options_.vertex_cut;
-      std::vector<double> replica_sync(machines, 0.0);
-      for (VertexId v : frontier) {
-        replica_sync[cut.master[v]] +=
-            2.0 * (static_cast<double>(cut.replicas[v]) - 1.0);
-      }
-      for (uint32_t m = 0; m < machines; ++m) {
-        double bytes = replica_sync[m] * profile.bytes_per_message * scale;
-        loads[m].cross_bytes_out = bytes;
-        loads[m].cross_bytes_in = bytes;
-        loads[m].state_bytes *= replication_factor;
-        cross_bytes_per_machine[m] +=
-            bytes - context.wire_cross_out()[m] *
-                        profile.bytes_per_message * scale;
-      }
     }
     result.messages += pass_messages;
     total_processed_signals += pass_logical;

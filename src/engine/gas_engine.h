@@ -2,7 +2,6 @@
 #define VCMP_ENGINE_GAS_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -12,7 +11,6 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "sim/cluster_spec.h"
-#include "graph/vertex_cut.h"
 #include "sim/cost_model.h"
 
 namespace vcmp {
@@ -34,15 +32,13 @@ class GasContext {
 
   /// Records bytes of residual (intermediate-result) memory produced by
   /// the current vertex. The engine attributes them to the vertex's
-  /// machine and folds them in frontier order, so several compute shards
-  /// of one machine can run concurrently without the program keeping a
-  /// shared per-machine accumulator. Accumulated totals are returned in
-  /// GasResult::residual_bytes_per_machine.
+  /// machine, so the program keeps no per-machine accumulator of its own;
+  /// the totals are returned in GasResult::residual_bytes_per_machine.
   virtual void AddResidualBytes(double bytes) { (void)bytes; }
 
   /// Deterministic random stream of the CURRENT vertex: reseeded from
-  /// (engine seed, pass, vertex) at each Process call, so draw sequences
-  /// never depend on the shard layout, thread count or frontier order.
+  /// (engine seed, query, pass, vertex) at each Process call, so draw
+  /// sequences never depend on frontier order.
   virtual Rng& rng() = 0;
   /// Scheduling pass (== superstep in sync mode).
   virtual uint64_t pass() const = 0;
@@ -106,30 +102,6 @@ struct GasOptions {
   double stat_scale = 1.0;
   uint64_t seed = 7;
   uint64_t max_passes = 8192;
-  /// Threads for the engine's parallel sections, served by the same
-  /// persistent ThreadPool as SyncEngine. In synchronous mode the Process
-  /// loop itself runs shard-parallel: the pass's frontier signals are
-  /// snapshot-consumed up front, fixed contiguous frontier shards log
-  /// their signals/compute/residual into per-shard event logs, and the
-  /// logs are replayed serially in shard order through the real signal
-  /// path — so results are bit-identical for any thread count and any
-  /// shard count (DESIGN.md section 12). The asynchronous Process loop
-  /// stays sequential by semantics: signals to not-yet-consumed frontier
-  /// vertices fold into the current pass. 0 = auto (hardware threads).
-  uint32_t execution_threads = 1;
-  /// Clamp the thread count to the hardware concurrency (same contract as
-  /// EngineOptions::clamp_threads_to_hardware — results are invariant, so
-  /// oversubscription only adds context switches). Tests that must run an
-  /// exact thread count disable this.
-  bool clamp_threads_to_hardware = true;
-  /// Fixed number of compute shards the synchronous frontier is split
-  /// into (contiguous segments). Like the sync engine, deliberately NOT
-  /// derived from the thread count. 0 = auto (16).
-  uint32_t compute_shards = 0;
-  /// GraphLab's priority scheduler (async mode): process vertices with the
-  /// largest pending signal first. Convergent programs settle heavy mass
-  /// early and need fewer activations than FIFO order.
-  bool priority_scheduling = false;
   /// --- Observability (src/obs) ---
   /// When set, synchronous passes emit nested pass > {compute, barrier}
   /// spans plus memory gauges; asynchronous runs (no per-pass simulated
@@ -141,14 +113,6 @@ struct GasOptions {
   uint32_t trace_track = kAutoTrack;
   double trace_time_offset_seconds = 0.0;
   static constexpr uint32_t kAutoTrack = ~0u;
-
-  /// PowerGraph-style vertex-cut deployment (optional; must outlive the
-  /// engine). When set, cross-machine traffic is replica synchronisation —
-  /// each active vertex exchanges 2*(replicas-1) messages per pass (gather
-  /// partials in, apply broadcast out) — and vertex state is replicated
-  /// accordingly. This bounds hub traffic by the replication factor
-  /// instead of the hub degree.
-  const VertexCut* vertex_cut = nullptr;
 };
 
 /// Executes a GasVertexProgram.
@@ -158,7 +122,8 @@ struct GasOptions {
 /// pricing each pass through the CostModel. Asynchronous mode executes the
 /// same scheduling order without barriers or combining, pricing the run
 /// with per-activation distributed-lock overhead that grows with the
-/// cluster's fiber count (Section 4.8).
+/// cluster's fiber count (Section 4.8). Both modes run one serial Process
+/// loop in frontier order.
 ///
 /// Like SyncEngine, the engine is immutable after construction and Run is
 /// const: all run state lives on Run's stack, so several queries can Run
@@ -172,13 +137,13 @@ class GasEngine {
   GasEngine(const GasEngine&) = delete;
   GasEngine& operator=(const GasEngine&) = delete;
 
-  /// Runs `program` as query_id 0 on a private per-run pool (the
-  /// historical single-query behavior, bit for bit).
+  /// Runs `program` as query_id 0 (the historical single-query behavior,
+  /// bit for bit).
   Result<GasResult> Run(GasVertexProgram& program) const;
 
   /// Re-entrant form: runs `program` with the context's query_id (which
-  /// namespaces the per-vertex RNG streams) and pool. One context per
-  /// in-flight query.
+  /// namespaces the per-vertex RNG streams). One context per in-flight
+  /// query.
   Result<GasResult> Run(GasVertexProgram& program, QueryContext& ctx) const;
 
   const GasOptions& options() const { return options_; }

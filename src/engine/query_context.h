@@ -36,10 +36,11 @@ struct QueryContext {
   /// historical single-query streams bit for bit.
   uint64_t query_id = 0;
 
-  /// Pool to fan compute shards out on. Null keeps the historical
-  /// behavior (each engine Run creates a private pool from its thread
+  /// Pool SyncEngine fans compute shards out on. Null keeps the
+  /// historical behavior (each Run creates a private pool from its thread
   /// options); non-null shares the pool across queries — its per-call
-  /// completion tracking keeps concurrent fan-outs independent.
+  /// completion tracking keeps concurrent fan-outs independent. GasEngine
+  /// runs serially and ignores it.
   ThreadPool* pool = nullptr;
 
   /// Reusable engine-owned buffers (workers, shard sinks). The concrete

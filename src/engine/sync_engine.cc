@@ -15,11 +15,10 @@ namespace vcmp {
 
 namespace {
 
-/// Default shard count per machine when compute_shards_per_machine is 0.
-/// Fixed (never derived from the thread count) so the shard plan — and
-/// with it every reduction order — is a pure function of the round's
-/// inbox.
-constexpr uint32_t kDefaultShardsPerMachine = 16;
+/// Compute shards per machine. Fixed (never derived from the thread
+/// count) so the shard plan — and with it every reduction order — is a
+/// pure function of the round's inbox.
+constexpr uint32_t kShardsPerMachine = 16;
 
 }  // namespace
 
@@ -402,11 +401,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
 
   // One sink per (machine, shard): raw staging arenas and per-vertex log
   // records, read after the compute barrier in fixed shard order.
-  const uint32_t shards_per_machine =
-      options_.compute_shards_per_machine == 0
-          ? kDefaultShardsPerMachine
-          : options_.compute_shards_per_machine;
-  const uint32_t num_shard_tasks = machines * shards_per_machine;
+  const uint32_t num_shard_tasks = machines * kShardsPerMachine;
   scratch.shard_sinks.resize(num_shard_tasks);
   std::vector<std::unique_ptr<ShardSink>>& shard_sinks =
       scratch.shard_sinks;
@@ -414,7 +409,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     if (shard_sinks[task] == nullptr) {
       shard_sinks[task] = std::make_unique<ShardSink>();
     }
-    shard_sinks[task]->Configure(this, task / shards_per_machine, machines,
+    shard_sinks[task]->Configure(this, task / kShardsPerMachine, machines,
                                  ctx.query_id);
   }
   // What each destination receives in a round, as the list of buffers
@@ -438,13 +433,12 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   // every round. A context WITH a pool (concurrent queries) fans out on
   // the shared workers; per-call completion latches keep the queries'
   // parallel sections independent. Intra-machine sharding means more
-  // threads than machines still helps, so the only cap is the optional
-  // hardware clamp (oversubscription adds context switches without
-  // changing any output — results are thread-count invariant).
+  // threads than machines still helps; the engine runs exactly the count
+  // it is given (the runner clamps to the hardware).
   std::unique_ptr<ThreadPool> owned_pool;
   if (ctx.pool == nullptr) {
     const uint32_t thread_count = ThreadPool::ResolveThreads(
-        options_.execution_threads, options_.clamp_threads_to_hardware);
+        options_.execution_threads, /*clamp_to_hardware=*/false);
     owned_pool = std::make_unique<ThreadPool>(thread_count - 1);
   }
   ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : *owned_pool;
@@ -508,7 +502,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           degrees = ooc_degrees[machine].data();
         }
         plan.Build(
-            vertices.size(), shards_per_machine,
+            vertices.size(), kShardsPerMachine,
             [&](uint32_t i) {
               return uint64_t{1} + (degrees != nullptr
                                         ? degrees[i]
@@ -541,7 +535,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       }
       const std::span<const MessageRun> runs = worker.runs();
       plan.Build(
-          runs.size(), shards_per_machine,
+          runs.size(), kShardsPerMachine,
           [runs](uint32_t r) { return uint64_t{1} + runs[r].size(); },
           [runs](uint32_t r) { return runs[r].target == runs[r - 1].target; });
     };
@@ -557,8 +551,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     // stream open at its first run. Work stealing only changes which
     // thread runs a shard, never what the shard writes.
     auto run_shard = [&](uint32_t task) {
-      const uint32_t machine = task / shards_per_machine;
-      const uint32_t shard = task % shards_per_machine;
+      const uint32_t machine = task / kShardsPerMachine;
+      const uint32_t shard = task % kShardsPerMachine;
       ShardSink& sink = *shard_sinks[task];
       sink.BeginRound(round);
       const ShardPlan& plan = plans[machine];
@@ -602,11 +596,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       const uint64_t t0 = collect_times ? wallclock::NowNs() : 0;
       MergeSlot& slot = merge_slots[pair];
       slot.Clear();
-      const uint32_t first_task = sender * shards_per_machine;
+      const uint32_t first_task = sender * kShardsPerMachine;
       if (combining) {
         CombineIndex& keys = scratch.wire_keys[pair];
         keys.Clear();
-        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
+        for (uint32_t shard = 0; shard < kShardsPerMachine; ++shard) {
           const MessageBlock& arena =
               shard_sinks[first_task + shard]->arena(dest);
           const VertexId* targets = arena.targets();
@@ -624,7 +618,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         // plain sends from unmirrored vertices), plain mode the
         // multiplicities, both in emission order.
         double wire_in = 0.0;
-        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
+        for (uint32_t shard = 0; shard < kShardsPerMachine; ++shard) {
           const ShardSink& sink = *shard_sinks[first_task + shard];
           if (mirror_plan_ != nullptr) {
             for (double weight : sink.cross_weights(dest)) {
@@ -656,8 +650,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       double logical_sent = 0.0;
       double wire_sent = 0.0;
       double wire_cross = 0.0;
-      const uint32_t first_task = machine * shards_per_machine;
-      for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
+      const uint32_t first_task = machine * kShardsPerMachine;
+      for (uint32_t shard = 0; shard < kShardsPerMachine; ++shard) {
         for (const ShardSink::VertexLog& rec :
              shard_sinks[first_task + shard]->log()) {
           units += rec.compute_units;
@@ -785,8 +779,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         // the restored tail it received. The resident prefix it received
         // sat in the senders' arenas, which this round's sends reused.
         size_t sent_messages = 0;
-        const uint32_t first_task = machine * shards_per_machine;
-        for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
+        const uint32_t first_task = machine * kShardsPerMachine;
+        for (uint32_t shard = 0; shard < kShardsPerMachine; ++shard) {
           for (uint32_t dest = 0; dest < machines; ++dest) {
             sent_messages +=
                 shard_sinks[first_task + shard]->arena(dest).size();
@@ -965,7 +959,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
 
     if (stats.overflow || result.seconds > cutoff) {
       result.overloaded = true;
-      if (options_.stop_early_on_overload) break;
+      break;
     }
 
     // --- Deliver: only the out-of-core path touches the arenas ---

@@ -39,28 +39,14 @@ struct EngineOptions {
   /// Hard cap on rounds (safety net; programs normally quiesce).
   uint64_t max_rounds = 4096;
   uint64_t seed = 7;
-  /// Stop executing once overload is certain (memory overflow or the
-  /// simulated clock passing the cut-off); the result is flagged.
-  bool stop_early_on_overload = true;
-  /// Worker threads for the compute, tally and delivery phases. Results
-  /// are bit-identical for any thread count: compute runs over fixed
-  /// vertex shards whose outputs land in per-shard arenas and per-vertex
-  /// log records, merged and folded in fixed shard/vertex order (see
-  /// DESIGN.md section 12). 0 = auto (one thread per hardware core).
+  /// Worker threads for the compute, tally and delivery phases; the
+  /// engine runs exactly this many (the runner clamps to the hardware).
+  /// Results are bit-identical for any thread count: compute runs over a
+  /// fixed 16 vertex shards per machine whose outputs land in per-shard
+  /// arenas and per-vertex log records, merged and folded in fixed
+  /// shard/vertex order (see DESIGN.md section 12). 0 = one thread per
+  /// hardware core.
   uint32_t execution_threads = 1;
-  /// Because results are thread-count invariant, the engine by default
-  /// clamps the thread count to the hardware concurrency —
-  /// oversubscribing cores only adds context switches without changing
-  /// any output. Tests that must run an exact thread count disable this.
-  bool clamp_threads_to_hardware = true;
-  /// Fixed number of compute shards each machine's round is split into
-  /// (contiguous vertex ranges, cut at vertex boundaries). Deliberately
-  /// NOT derived from the thread count: the shard plan depends only on
-  /// this value and the round's inbox, and every cross-shard reduction
-  /// folds per-vertex records in vertex order, so results are
-  /// bit-identical at every thread count and every shard count.
-  /// 0 = auto (16).
-  uint32_t compute_shards_per_machine = 0;
   /// Collect wall/busy time per engine phase into EngineResult::phase
   /// (perf-trajectory benches). Off by default: the hot paths then pay
   /// only a predictable branch per round.
@@ -124,6 +110,8 @@ struct EngineResult {
   std::vector<RoundStats> rounds;
   /// Simulated wall-clock, capped at the overload cut-off when overloaded.
   double seconds = 0.0;
+  /// Set when a round overflowed memory or the simulated clock passed the
+  /// cut-off; the run stops after that round.
   bool overloaded = false;
   uint64_t num_rounds = 0;
   double total_messages = 0.0;       // Logical, paper scale.

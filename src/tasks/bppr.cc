@@ -264,111 +264,8 @@ Result<std::unique_ptr<VertexProgram>> BpprTask::MakeProgram(
     return std::unique_ptr<VertexProgram>(
         std::make_unique<BpprPushProgram>(context, workload, params_));
   }
-  if (context.combining_system && params_.per_source_traffic) {
-    return std::unique_ptr<VertexProgram>(
-        std::make_unique<BpprPerSourceProgram>(context, workload, params_,
-                                               seed));
-  }
   return std::unique_ptr<VertexProgram>(std::make_unique<BpprCountingProgram>(
       context, workload, params_, seed));
-}
-
-// ---------------------------------------------------------------------------
-// BpprPerSourceProgram
-// ---------------------------------------------------------------------------
-
-BpprPerSourceProgram::BpprPerSourceProgram(const TaskContext& context,
-                                           double walks_per_vertex,
-                                           const BpprTask::Params& params,
-                                           uint64_t seed)
-    : context_(context),
-      walks_per_vertex_(static_cast<uint64_t>(
-          std::llround(std::max(0.0, walks_per_vertex)))),
-      params_(params),
-      stopped_(context.graph->NumVertices(), 0),
-      pair_tracker_(context.partition->num_machines) {
-  (void)seed;
-}
-
-void BpprPerSourceProgram::Seed(VertexId v, MessageSink& sink) {
-  TrackPair(v, sink.round());
-  Advance(v, v, walks_per_vertex_, sink);
-}
-
-void BpprPerSourceProgram::ComputeRun(VertexId v, const MessageRunView& run,
-                                      MessageSink& sink) {
-  // One run per (vertex, source): that source's resident walk count.
-  TrackPair(v, sink.round());
-  Advance(v, run.tag, static_cast<uint64_t>(std::llround(run.SumValues())),
-          sink);
-}
-
-void BpprPerSourceProgram::TrackPair(VertexId v, uint64_t round) {
-  // Per-machine round-pair tracking. Several shards of v's machine run
-  // concurrently, so the slot is mutex-guarded; within one round every
-  // call carries the same `round` and only adds, so the totals are
-  // order-independent and the rollover fires exactly once per round.
-  std::lock_guard<std::mutex> lock(pair_mutex_);
-  PairTracker& tracker = pair_tracker_[context_.partition->MachineOf(v)];
-  if (round != tracker.round) {
-    tracker.peak = std::max(tracker.peak, tracker.current);
-    tracker.current = 0.0;
-    tracker.round = round;
-  }
-  tracker.current += 1.0;
-}
-
-void BpprPerSourceProgram::Advance(VertexId v, uint32_t source,
-                                   uint64_t count, MessageSink& sink) {
-  if (count == 0) return;
-  Rng& rng = sink.rng();
-  const auto neighbors = context_.graph->Neighbors(v);
-  if (count <= kPerWalkResidentMax && neighbors.size() >= 2 &&
-      neighbors.size() <= kPerWalkDegreeMax) {
-    uint32_t counts[kPerWalkDegreeMax];
-    uint64_t stops = PerWalkStopAndSplit(rng, neighbors.size(), count,
-                                         params_.alpha, counts);
-    if (stops > 0) {
-      stopped_[v] += stops;
-      sink.AddResidualBytes(static_cast<double>(stops) *
-                            params_.residual_record_bytes);
-    }
-    if (stops == count) return;
-    sink.AddComputeUnits(static_cast<double>(neighbors.size()));
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      if (counts[i] > 0) {
-        sink.Send(neighbors[i], source, static_cast<double>(counts[i]),
-                  static_cast<double>(counts[i]));
-      }
-    }
-    return;
-  }
-  uint64_t stopping = rng.NextBinomial(count, params_.alpha);
-  if (neighbors.empty()) stopping = count;
-  if (stopping > 0) {
-    stopped_[v] += stopping;
-    sink.AddResidualBytes(static_cast<double>(stopping) *
-                          params_.residual_record_bytes);
-  }
-  uint64_t moving = count - stopping;
-  if (moving == 0) return;
-  sink.AddComputeUnits(static_cast<double>(neighbors.size()));
-  MultinomialSplit(rng, neighbors, moving, [&](VertexId u, uint64_t portion) {
-    sink.Send(u, source, static_cast<double>(portion),
-              static_cast<double>(portion));
-  });
-}
-
-double BpprPerSourceProgram::StateBytes(uint32_t machine) const {
-  std::lock_guard<std::mutex> lock(pair_mutex_);
-  const PairTracker& tracker = pair_tracker_[machine];
-  // Per-(source, target) hash-map entries of the in-flight walk table.
-  double pairs = std::max(tracker.peak, tracker.current);
-  return 48.0 * pairs;
-}
-
-uint64_t BpprPerSourceProgram::TotalStopped() const {
-  return std::accumulate(stopped_.begin(), stopped_.end(), uint64_t{0});
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -40,12 +39,6 @@ class BpprTask : public MultiTask {
     /// flavour): per-(vertex, source) moving mass below this settles
     /// locally instead of diffusing further.
     double prune_threshold = 0.25;
-    /// Use (source, target)-granular traffic on combining systems
-    /// (BpprPerSourceProgram). Faithful to per-source combining but the
-    /// in-flight pair table approaches O(n^2); off by default — the
-    /// pooled program plus logical-work pricing matches the observed
-    /// GraphLab behaviour at a fraction of the cost.
-    bool per_source_traffic = false;
   };
 
   BpprTask() = default;
@@ -133,53 +126,6 @@ class BpprPushProgram : public VertexProgram {
   std::vector<std::unordered_set<uint32_t>> settled_sources_;
   /// Atomic: RecordSettle runs concurrently across shards.
   std::atomic<uint64_t> result_pairs_{0};
-};
-
-/// Per-source counting-mode walks for systems that combine messages at
-/// the sender (GraphLab sync). Combining is only valid within one source
-/// (PPR is personalized), so the traffic granularity is (source, target)
-/// pairs: each physical message carries one source's walk count, and a
-/// (vertex, source) run folds as a sum. Heavier per workload unit than
-/// the pooled program — the state and traffic approach the paper's
-/// O(n^2) bound as walks diffuse.
-class BpprPerSourceProgram : public VertexProgram {
- public:
-  BpprPerSourceProgram(const TaskContext& context, double walks_per_vertex,
-                       const BpprTask::Params& params, uint64_t seed);
-
-  void Seed(VertexId v, MessageSink& sink) override;
-  void ComputeRun(VertexId v, const MessageRunView& run,
-                  MessageSink& sink) override;
-  double StateBytes(uint32_t machine) const override;
-  MessageFold fold() const override { return MessageFold::kSum; }
-
-  uint64_t StoppedAt(VertexId u) const { return stopped_[u]; }
-  uint64_t TotalStopped() const;
-
- private:
-  void Advance(VertexId v, uint32_t source, uint64_t count,
-               MessageSink& sink);
-  void TrackPair(VertexId v, uint64_t round);
-
-  /// Per-machine (source, target) pair counting for state accounting.
-  /// Several compute shards of one machine run concurrently, so the
-  /// trackers are guarded by `pair_mutex_`; the per-round counts are
-  /// pure commutative additions, so the result is order-independent.
-  struct PairTracker {
-    uint64_t round = ~0ULL;
-    double current = 0.0;
-    double peak = 0.0;
-  };
-
-  const TaskContext context_;
-  const uint64_t walks_per_vertex_;
-  const BpprTask::Params params_;
-  std::vector<uint64_t> stopped_;
-  // MakeProgram builds a fresh program per batch per query, so the
-  // mutex only ever orders one query's shard threads.
-  // vcmp:query-local(program instance is per-batch per-query)
-  mutable std::mutex pair_mutex_;
-  std::vector<PairTracker> pair_tracker_;
 };
 
 /// Exact per-source BPPR for correctness validation: simulates W walks per

@@ -19,10 +19,6 @@ struct TaskContext {
   /// (MSSP/BKHS) fold it into message multiplicities indirectly via the
   /// engine's stat_scale, so most tasks can ignore it.
   double scale = 1.0;
-  /// True when the target system combines same-(target, tag) messages at
-  /// the sender (GraphLab sync). BPPR then runs per-source traffic
-  /// granularity, but only when its `per_source_traffic` parameter is set.
-  bool combining_system = false;
 };
 
 /// Message interface flavour the target engine exposes (Section 3):

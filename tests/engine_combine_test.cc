@@ -37,18 +37,27 @@ const Partitioning& TestPartition() {
   return partition;
 }
 
-enum class Task { kBpprCounting, kBpprPerSource, kMssp, kBkhs, kPageRank };
+enum class Task { kBpprCounting, kBpprVertexTags, kMssp, kBkhs, kPageRank };
+
+/// Exact BPPR tags every walk with its source vertex but declares no
+/// fold. Its ComputeRun sums a (vertex, source) run's walk counts, so
+/// declaring kSum changes no answer and puts vertex-id tags under the
+/// combining count.
+class SumFoldedExactProgram : public BpprExactProgram {
+ public:
+  using BpprExactProgram::BpprExactProgram;
+  MessageFold fold() const override { return MessageFold::kSum; }
+};
 
 std::unique_ptr<VertexProgram> MakeProgram(Task task) {
-  const TaskContext context{&TestGraph(), &TestPartition(), 1.0, true};
+  const TaskContext context{&TestGraph(), &TestPartition(), 1.0};
   const auto p2p = ProgramFlavor::kPointToPoint;
   switch (task) {
     case Task::kBpprCounting:
       return std::make_unique<BpprCountingProgram>(context, 16,
                                                    BpprTask::Params{}, 3);
-    case Task::kBpprPerSource:
-      return std::make_unique<BpprPerSourceProgram>(context, 4,
-                                                    BpprTask::Params{}, 3);
+    case Task::kBpprVertexTags:
+      return std::make_unique<SumFoldedExactProgram>(context, 4, 0.2, 3);
     case Task::kMssp:
       return std::make_unique<MsspProgram>(context, p2p, 8.0,
                                            MsspTask::Params{}, 5);
@@ -74,12 +83,13 @@ std::vector<double> Answers(Task task, const VertexProgram& program) {
             static_cast<const BpprCountingProgram&>(program).StoppedAt(v)));
       }
       break;
-    case Task::kBpprPerSource:
-      for (VertexId v = 0; v < n; ++v) {
-        out.push_back(static_cast<double>(
-            static_cast<const BpprPerSourceProgram&>(program).StoppedAt(v)));
+    case Task::kBpprVertexTags: {
+      const auto& exact = static_cast<const BpprExactProgram&>(program);
+      for (VertexId s = 0; s < n; ++s) {
+        for (VertexId v = 0; v < n; ++v) out.push_back(exact.Ppr(s, v));
       }
       break;
+    }
     case Task::kMssp: {
       const auto& mssp = static_cast<const MsspProgram&>(program);
       for (uint32_t s = 0; s < mssp.num_samples(); ++s) {
@@ -127,7 +137,6 @@ EngineResult RunEngine(const SystemProfile& profile, VertexProgram& program,
   options.cluster = testing_util::RelaxedCluster(4);
   options.profile = profile;
   options.execution_threads = threads;
-  options.clamp_threads_to_hardware = false;
   auto result = SyncEngine(TestGraph(), TestPartition(), options).Run(program);
   EXPECT_TRUE(result.ok());
   return result.value_or(EngineResult{});
@@ -245,10 +254,10 @@ class RecordingProgram : public VertexProgram {
 };
 
 TEST(CombiningCountTest, WireMessagesEqualDistinctSendTuples) {
-  // Bounded tags (MSSP sample indices) and vertex-id tags (per-source
-  // BPPR) under GraphLab, which combines.
+  // Bounded tags (MSSP sample indices) and vertex-id tags (exact BPPR's
+  // sources) under GraphLab, which combines.
   const SystemProfile& graphlab = ProfileFor(SystemKind::kGraphLab);
-  for (Task task : {Task::kMssp, Task::kBpprPerSource}) {
+  for (Task task : {Task::kMssp, Task::kBpprVertexTags}) {
     SCOPED_TRACE(static_cast<int>(task));
     std::unique_ptr<VertexProgram> inner = MakeProgram(task);
     RecordingProgram recorder(*inner);

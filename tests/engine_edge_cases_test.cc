@@ -1,5 +1,5 @@
-// Edge-case coverage for the superstep engine: overload continuation,
-// empty-graph handling, per-round statistics plumbing.
+// Edge-case coverage for the superstep engine: empty-graph handling,
+// per-round statistics plumbing, profile rejection.
 
 #include <gtest/gtest.h>
 
@@ -16,32 +16,10 @@ namespace {
 
 using testing_util::RelaxedCluster;
 
-TEST(EngineEdgeCaseTest, OverloadWithoutEarlyStopRunsToQuiescence) {
-  Graph ring = GenerateRing(64, 2);
-  Partitioning part = HashPartitioner().Partition(ring, 2);
-  TaskContext context{&ring, &part, 1.0, false};
-
-  EngineOptions options;
-  options.cluster = RelaxedCluster(2);
-  options.cluster.machine.memory_bytes = 16.0 * 1024;
-  options.cluster.machine.usable_memory_bytes = 12.0 * 1024;
-  options.profile = ProfileFor(SystemKind::kPregelPlus);
-  options.stop_early_on_overload = false;
-
-  BpprCountingProgram program(context, /*walks=*/64, {}, /*seed=*/2);
-  SyncEngine engine(ring, part, options);
-  auto result = engine.Run(program);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().overloaded);
-  // Without the early stop, every walk still terminates.
-  EXPECT_EQ(program.TotalStopped(), 64u * ring.NumVertices());
-  EXPECT_GT(result.value().num_rounds, 2u);
-}
-
 TEST(EngineEdgeCaseTest, RoundStatsTraceIsComplete) {
   Graph ring = GenerateRing(32, 1);
   Partitioning part = HashPartitioner().Partition(ring, 2);
-  TaskContext context{&ring, &part, 1.0, false};
+  TaskContext context{&ring, &part, 1.0};
   EngineOptions options;
   options.cluster = RelaxedCluster(2);
   options.profile = ProfileFor(SystemKind::kPregelPlus);
@@ -70,7 +48,7 @@ TEST(EngineEdgeCaseTest, RejectsAnAsynchronousProfile) {
   // run GraphLab(async) as barrier-free rounds without its lock costs.
   Graph ring = GenerateRing(32, 1);
   Partitioning part = HashPartitioner().Partition(ring, 2);
-  TaskContext context{&ring, &part, 1.0, false};
+  TaskContext context{&ring, &part, 1.0};
   EngineOptions options;
   options.cluster = RelaxedCluster(2);
   options.profile = ProfileFor(SystemKind::kGraphLabAsync);
@@ -88,7 +66,7 @@ TEST(EngineEdgeCaseTest, IsolatedVerticesQuiesceImmediately) {
   GraphBuilder builder(16);
   Graph empty = builder.Build({});
   Partitioning part = HashPartitioner().Partition(empty, 2);
-  TaskContext context{&empty, &part, 1.0, false};
+  TaskContext context{&empty, &part, 1.0};
   EngineOptions options;
   options.cluster = RelaxedCluster(2);
   options.profile = ProfileFor(SystemKind::kPregelPlus);

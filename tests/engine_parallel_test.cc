@@ -67,24 +67,6 @@ TEST(ThreadPoolTest, ReusableAcrossManyBarriers) {
   EXPECT_EQ(total.load(), 200 * 7);
 }
 
-TEST(ThreadPoolTest, ParallelSortMatchesSerialSort) {
-  Rng rng(17);
-  std::vector<uint64_t> values(100000);
-  for (uint64_t& v : values) v = rng.NextUint64();
-  std::vector<uint64_t> expected = values;
-  std::sort(expected.begin(), expected.end());
-  ThreadPool pool(3);
-  ParallelSort(pool, values.begin(), values.end(), std::less<uint64_t>());
-  EXPECT_EQ(values, expected);
-}
-
-TEST(ThreadPoolTest, ParallelSortSmallInputFallsBackToSerial) {
-  ThreadPool pool(3);
-  std::vector<int> values = {5, 3, 1, 4, 2};
-  ParallelSort(pool, values.begin(), values.end(), std::less<int>());
-  EXPECT_EQ(values, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
 // --- Receive oracles: grouping and folding ---------------------------
 
 /// A dense vertex numbering for one machine: `locals` ascending, and
@@ -543,9 +525,8 @@ TEST(CombineIndexTest, ManyClearCyclesBehaveLikeFreshTables) {
 // --- Engine determinism across thread counts -------------------------
 
 /// Runs one BPPR batch on `system` with the requested thread count and
-/// returns the full EngineResult. clamp_threads_to_hardware is disabled
-/// so the requested shard count is exercised exactly, even on machines
-/// with fewer cores.
+/// returns the full EngineResult. The engine runs exactly that many
+/// threads, even on machines with fewer cores.
 EngineResult RunBpprBatch(SystemKind system, uint32_t threads) {
   RmatParams params;
   params.num_vertices = 4000;
@@ -559,11 +540,9 @@ EngineResult RunBpprBatch(SystemKind system, uint32_t threads) {
   options.cluster = RelaxedCluster(8);
   options.profile = ProfileFor(system);
   options.execution_threads = threads;
-  options.clamp_threads_to_hardware = false;
   SyncEngine engine(graph, part, options);
 
-  TaskContext context{&graph, &part, 1.0,
-                      options.profile.combines_messages};
+  TaskContext context{&graph, &part, 1.0};
   auto task = MakeTask("BPPR");
   EXPECT_TRUE(task.ok());
   // Broadcast-flavoured walks fan out to every neighbour, so the mirror
@@ -636,7 +615,6 @@ enum class Program {
   kBpprSourceBatch,
   kBpprExact,
   kBpprCounting,
-  kBpprPerSource,
   kBpprPush,
   kMssp,
   kPageRank,
@@ -695,9 +673,6 @@ std::unique_ptr<VertexProgram> MakeRecordedProgram(Program program,
     case Program::kBpprCounting:
       return std::make_unique<BpprCountingProgram>(context, 16.0,
                                                    BpprTask::Params{}, 3);
-    case Program::kBpprPerSource:
-      return std::make_unique<BpprPerSourceProgram>(context, 4.0,
-                                                    BpprTask::Params{}, 3);
     case Program::kBpprPush:
       return std::make_unique<BpprPushProgram>(context, 16.0,
                                                BpprTask::Params{});
@@ -745,11 +720,6 @@ uint64_t DigestAnswers(Program program, const VertexProgram& base) {
     }
     case Program::kBpprCounting: {
       const auto& p = static_cast<const BpprCountingProgram&>(base);
-      for (VertexId u = 0; u < n; ++u) digest.Add(p.StoppedAt(u));
-      break;
-    }
-    case Program::kBpprPerSource: {
-      const auto& p = static_cast<const BpprPerSourceProgram&>(base);
       for (VertexId u = 0; u < n; ++u) digest.Add(p.StoppedAt(u));
       break;
     }
@@ -812,7 +782,6 @@ EngineOptions RecordedOptions(SystemKind system, uint32_t threads) {
   options.cluster = RelaxedCluster(4);
   options.profile = ProfileFor(system);
   options.execution_threads = threads;
-  options.clamp_threads_to_hardware = false;
   return options;
 }
 
@@ -824,8 +793,7 @@ std::pair<EngineResult, uint64_t> RunRecorded(Program program,
                                               bool grouped = false) {
   const Graph& graph = RecordedGraph();
   const Partitioning& part = RecordedPartition();
-  const TaskContext context{&graph, &part, 1.0,
-                            options.profile.combines_messages};
+  const TaskContext context{&graph, &part, 1.0};
   std::unique_ptr<VertexProgram> vertex_program = MakeRecordedProgram(
       program, context,
       options.profile.mirroring ? ProgramFlavor::kBroadcast
@@ -901,18 +869,6 @@ const std::vector<RecordedRun>& RecordedRuns() {
         0x1.ep+5, 0x1.4p+5, 0x1.ep+5, 0x1.4p+4, 0x1.4p+5, 0x1.4p+4, 0x1.4p+5,
         0x0p+0, 0x0p+0},
        0x266a6dc659bda87fULL},
-      {"BpprPerSourceGraphLab", Program::kBpprPerSource, SystemKind::kGraphLab,
-       0x1.954c93a20e08bp-1, 47, 0x1.66a8p+14, 0x1.d56ccccccccccp+16,
-       {0x1.da4p+13, 0x1.0ccp+14, 0x1.d5p+13, 0x1.03ap+14},
-       {0x1.be4p+15, 0x1.f2p+15, 0x1.92fp+15, 0x1.52dp+15, 0x1.08fp+15,
-        0x1.a7p+14, 0x1.566p+14, 0x1.0a4p+14, 0x1.bb4p+13, 0x1.62p+13,
-        0x1.1ap+13, 0x1.b78p+12, 0x1.62p+12, 0x1.1dp+12, 0x1.7dp+11,
-        0x1.6ep+11, 0x1.23p+11, 0x1.d4p+10, 0x1.68p+10, 0x1.26p+10, 0x1.08p+10,
-        0x1.5cp+9, 0x1.5p+9, 0x1.ep+8, 0x1.c8p+8, 0x1.68p+8, 0x1.38p+8,
-        0x1.ep+7, 0x1.08p+8, 0x1.5p+7, 0x1.8p+6, 0x1.2p+6, 0x1.2p+6, 0x1.8p+5,
-        0x1.8p+5, 0x1.8p+5, 0x1.8p+5, 0x1.8p+5, 0x1.8p+4, 0x1.8p+5, 0x1.8p+4,
-        0x1.8p+4, 0x0p+0, 0x1.8p+4, 0x0p+0, 0x1.8p+4, 0x0p+0},
-       0xd748415c2c2e4807ULL},
       {"BpprPushMirror", Program::kBpprPush, SystemKind::kPregelPlusMirror,
        0x1.5f129aea131f3p-1, 19, 0x1.517e3p+20, 0x1.40bb86p+24,
        {0x1.36878p+20, 0x1.63b98p+20, 0x1.2a42p+20, 0x1.560cp+20},
@@ -980,9 +936,8 @@ class FoldedRunTest
 std::string FoldCaseName(
     const ::testing::TestParamInfo<std::tuple<Program, bool>>& info) {
   static constexpr const char* kNames[] = {
-      "Bkhs",          "BpprSourceBatch", "BpprExact",
-      "BpprCounting",  "BpprPerSource",   "BpprPush",
-      "Mssp",          "PageRank",        "ConnectedComponents"};
+      "Bkhs",     "BpprSourceBatch", "BpprExact", "BpprCounting",
+      "BpprPush", "Mssp",            "PageRank",  "ConnectedComponents"};
   return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
          (std::get<1>(info.param) ? "CappedGraphD" : "PregelPlus");
 }
@@ -1023,8 +978,8 @@ INSTANTIATE_TEST_SUITE_P(
     FoldingPrograms, FoldedRunTest,
     ::testing::Combine(
         ::testing::Values(Program::kBkhs, Program::kBpprSourceBatch,
-                          Program::kBpprCounting, Program::kBpprPerSource,
-                          Program::kMssp, Program::kPageRank,
+                          Program::kBpprCounting, Program::kMssp,
+                          Program::kPageRank,
                           Program::kConnectedComponents),
         ::testing::Bool()),
     FoldCaseName);
@@ -1036,7 +991,6 @@ EngineOptions GoldenOptions(uint32_t machines, uint32_t threads) {
   options.cluster = RelaxedCluster(machines);
   options.profile = ProfileFor(SystemKind::kPregelPlus);
   options.execution_threads = threads;
-  options.clamp_threads_to_hardware = false;
   return options;
 }
 
@@ -1068,7 +1022,7 @@ TEST(EngineGoldenTest, SingleMachineClusterUsesSwapDelivery) {
     SyncEngine engine(ring, part, GoldenOptions(1, threads));
     PageRankProgram::Params params;
     params.iterations = 20;
-    TaskContext context{&ring, &part, 1.0, true};
+    TaskContext context{&ring, &part, 1.0};
     PageRankProgram program(context, params);
     auto result = engine.Run(program);
     EXPECT_TRUE(result.ok());
@@ -1098,7 +1052,7 @@ TEST(EngineGoldenTest, AllVerticesActiveBitIdenticalAcrossThreads) {
     SyncEngine engine(graph, part, GoldenOptions(4, threads));
     PageRankProgram::Params params;
     params.iterations = 15;
-    TaskContext context{&graph, &part, 1.0, true};
+    TaskContext context{&graph, &part, 1.0};
     PageRankProgram program(context, params);
     auto result = engine.Run(program);
     EXPECT_TRUE(result.ok());
@@ -1127,7 +1081,7 @@ TEST(EngineGoldenTest, SparseActivityBitIdenticalAcrossThreads) {
     static const Partitioning& part =
         *new Partitioning(HashPartitioner().Partition(graph, 4));
     SyncEngine engine(graph, part, GoldenOptions(4, threads));
-    TaskContext context{&graph, &part, 1.0, true};
+    TaskContext context{&graph, &part, 1.0};
     MsspProgram program(context, ProgramFlavor::kPointToPoint,
                         /*workload=*/2.0, MsspTask::Params{}, /*seed=*/5);
     auto result = engine.Run(program);
@@ -1161,7 +1115,7 @@ std::pair<EngineResult, uint64_t> RunCountingBppr(uint32_t threads) {
   static const Partitioning& part =
       *new Partitioning(HashPartitioner().Partition(graph, 4));
   SyncEngine engine(graph, part, GoldenOptions(4, threads));
-  TaskContext context{&graph, &part, 1.0, true};
+  TaskContext context{&graph, &part, 1.0};
   BpprCountingProgram program(context, /*walks=*/64, {}, /*seed=*/3);
   auto result = engine.Run(program);
   EXPECT_TRUE(result.ok());

@@ -1,9 +1,8 @@
 // Tests of the vertex-sharded compute phase: the work-stealing parallel
-// loop, the single thread-resolution policy both engines share, and the
-// regression at the heart of the shard design — results are bit-identical
-// across thread counts AND shard counts, even when one machine owns
-// almost all of the inbox (the skew that motivates stealing in the first
-// place).
+// loop, the thread-resolution policy, and the regression at the heart of
+// the shard design — over the fixed 16 shards per machine, results are
+// bit-identical across thread counts, even when one machine owns almost
+// all of the inbox (the skew that motivates stealing in the first place).
 
 #include <gtest/gtest.h>
 
@@ -13,11 +12,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "engine/gas_engine.h"
 #include "engine/sync_engine.h"
 #include "graph/graph_builder.h"
 #include "graph/partition.h"
-#include "tasks/gas_tasks.h"
 #include "tasks/task_registry.h"
 #include "test_util.h"
 
@@ -77,9 +74,9 @@ TEST(ParallelForStealableTest, ReusableAcrossManyBarriers) {
 
 // --- Thread resolution policy ----------------------------------------
 
-// Both engines turn (execution_threads, clamp_threads_to_hardware) into a
-// worker count through this single policy point, so the clamp cannot
-// behave differently between SyncEngine and GasEngine.
+// The runner (clamped), SyncEngine and ConcurrentRunner (unclamped) turn
+// an execution_threads value into a thread count through this single
+// policy point.
 TEST(ResolveThreadsTest, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(ThreadPool::ResolveThreads(0, false), ThreadPool::HardwareThreads());
   EXPECT_EQ(ThreadPool::ResolveThreads(0, true), ThreadPool::HardwareThreads());
@@ -161,21 +158,17 @@ TEST(ShardSkewFixtureTest, MachineZeroReceivesOverEightyPercent) {
   EXPECT_GT(SkewedFixture::Get().FractionTargetingMachine0(), 0.8);
 }
 
-// --- Sync engine: bit-identical across threads × shards --------------
+// --- Sync engine: bit-identical across threads -----------------------
 
-EngineResult RunSkewedBatch(SystemKind system, uint32_t threads,
-                            uint32_t shards) {
+EngineResult RunSkewedBatch(SystemKind system, uint32_t threads) {
   const SkewedFixture& fx = SkewedFixture::Get();
   EngineOptions options;
   options.cluster = RelaxedCluster(kSkewMachines);
   options.profile = ProfileFor(system);
   options.execution_threads = threads;
-  options.clamp_threads_to_hardware = false;  // Exercise the exact count.
-  options.compute_shards_per_machine = shards;
   SyncEngine engine(fx.graph, fx.partition, options);
 
-  TaskContext context{&fx.graph, &fx.partition, 1.0,
-                      options.profile.combines_messages};
+  TaskContext context{&fx.graph, &fx.partition, 1.0};
   auto task = MakeTask("BPPR");
   EXPECT_TRUE(task.ok());
   const double workload = options.profile.mirroring ? 8.0 : 256.0;
@@ -212,22 +205,17 @@ void ExpectBitIdentical(const EngineResult& a, const EngineResult& b) {
 }
 
 TEST(ShardDeterminismTest, SkewedInboxIdenticalAcrossThreadsShardsStealing) {
-  // The full matrix from the determinism contract: every thread count in
-  // {1, 2, 4, 8} × every shard count in {1, 4, 64}, each run stealing,
-  // must reproduce the single-thread single-shard run bit for bit — for
-  // the plain profile and for GraphLab, whose wire count comes from the
+  // Every thread count in {2, 4, 8}, stealing over the fixed 16 shards per
+  // machine, must reproduce the single-thread run bit for bit — for the
+  // plain profile and for GraphLab, whose wire count comes from the
   // per-(sender, destination) key tally.
   for (SystemKind system : {SystemKind::kPregelPlus, SystemKind::kGraphLab}) {
-    const EngineResult baseline = RunSkewedBatch(system, 1, 1);
+    const EngineResult baseline = RunSkewedBatch(system, 1);
     EXPECT_GT(baseline.num_rounds, 1u);
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      for (uint32_t shards : {1u, 4u, 64u}) {
-        if (threads == 1 && shards == 1) continue;
-        SCOPED_TRACE(testing::Message()
-                     << ProfileFor(system).name << " threads=" << threads
-                     << " shards=" << shards);
-        ExpectBitIdentical(baseline, RunSkewedBatch(system, threads, shards));
-      }
+    for (uint32_t threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << ProfileFor(system).name << " threads=" << threads);
+      ExpectBitIdentical(baseline, RunSkewedBatch(system, threads));
     }
   }
 }
@@ -235,129 +223,17 @@ TEST(ShardDeterminismTest, SkewedInboxIdenticalAcrossThreadsShardsStealing) {
 TEST(ShardDeterminismTest, MirrorProfileIdenticalOnSkewedInbox) {
   // Broadcast + mirror delivery exercises the mirror merge path.
   const EngineResult baseline =
-      RunSkewedBatch(SystemKind::kPregelPlusMirror, 1, 1);
+      RunSkewedBatch(SystemKind::kPregelPlusMirror, 1);
   EXPECT_GT(baseline.num_rounds, 1u);
-  for (uint32_t threads : {1u, 4u}) {
-    for (uint32_t shards : {4u, 64u}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                      << " shards=" << shards);
-      ExpectBitIdentical(baseline, RunSkewedBatch(SystemKind::kPregelPlusMirror,
-                                                  threads, shards));
-    }
-  }
+  ExpectBitIdentical(baseline,
+                     RunSkewedBatch(SystemKind::kPregelPlusMirror, 4));
 }
 
 TEST(ShardDeterminismTest, OutOfCoreProfileIdenticalOnSkewedInbox) {
   // GraphD's plain (no combiner, no mirrors) merge path.
-  const EngineResult baseline = RunSkewedBatch(SystemKind::kGraphD, 1, 1);
+  const EngineResult baseline = RunSkewedBatch(SystemKind::kGraphD, 1);
   EXPECT_GT(baseline.num_rounds, 1u);
-  for (uint32_t shards : {4u, 64u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ExpectBitIdentical(baseline,
-                       RunSkewedBatch(SystemKind::kGraphD, 8, shards));
-  }
-}
-
-// --- GAS engine: sharded sync Process loop ---------------------------
-
-GasResult RunGasSkewed(uint32_t threads, uint32_t shards,
-                       uint64_t* total_stopped) {
-  const SkewedFixture& fx = SkewedFixture::Get();
-  GasOptions options;
-  options.cluster = RelaxedCluster(kSkewMachines);
-  options.profile = ProfileFor(SystemKind::kGraphLab);
-  options.execution_threads = threads;
-  options.clamp_threads_to_hardware = false;
-  options.compute_shards = shards;
-  GasBpprWalks program(fx.graph, fx.partition, /*walks_per_vertex=*/32,
-                       GasBpprWalks::Params{}, /*seed=*/13);
-  GasEngine engine(fx.graph, fx.partition, options);
-  auto result = engine.Run(program);
-  EXPECT_TRUE(result.ok());
-  if (total_stopped != nullptr) *total_stopped = program.TotalStopped();
-  return result.value_or(GasResult{});
-}
-
-void ExpectGasIdentical(const GasResult& a, const GasResult& b) {
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.passes, b.passes);
-  EXPECT_EQ(a.activations, b.activations);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.network_bytes_per_machine, b.network_bytes_per_machine);
-  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
-  ASSERT_EQ(a.residual_bytes_per_machine.size(),
-            b.residual_bytes_per_machine.size());
-  for (size_t m = 0; m < a.residual_bytes_per_machine.size(); ++m) {
-    EXPECT_EQ(a.residual_bytes_per_machine[m], b.residual_bytes_per_machine[m])
-        << "machine " << m;
-  }
-}
-
-TEST(ShardDeterminismTest, GasSyncIdenticalAcrossThreadsShardsStealing) {
-  uint64_t baseline_stopped = 0;
-  const GasResult baseline = RunGasSkewed(1, 1, &baseline_stopped);
-  EXPECT_GT(baseline.passes, 1u);
-  EXPECT_GT(baseline_stopped, 0u);
-  for (uint32_t threads : {1u, 8u}) {
-    for (uint32_t shards : {1u, 4u, 64u}) {
-      if (threads == 1 && shards == 1) continue;
-      SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                      << " shards=" << shards);
-      uint64_t stopped = 0;
-      ExpectGasIdentical(baseline, RunGasSkewed(threads, shards, &stopped));
-      EXPECT_EQ(stopped, baseline_stopped);
-    }
-  }
-}
-
-// --- Clamp unification (both engines, same policy) --------------------
-
-TEST(ThreadClampTest, SyncEngineClampedRequestMatchesHardwareRun) {
-  // An absurd thread request with the clamp on must behave exactly like
-  // asking for the hardware concurrency outright — both engines resolve
-  // through ThreadPool::ResolveThreads, so this guards against the two
-  // drifting apart again.
-  const uint32_t hw = ThreadPool::HardwareThreads();
-  EngineResult clamped = [&] {
-    const SkewedFixture& fx = SkewedFixture::Get();
-    EngineOptions options;
-    options.cluster = RelaxedCluster(kSkewMachines);
-    options.profile = ProfileFor(SystemKind::kPregelPlus);
-    options.execution_threads = hw + 1000;
-    options.clamp_threads_to_hardware = true;
-    SyncEngine engine(fx.graph, fx.partition, options);
-    TaskContext context{&fx.graph, &fx.partition, 1.0,
-                        options.profile.combines_messages};
-    auto task = MakeTask("BPPR");
-    EXPECT_TRUE(task.ok());
-    auto program = task.value()->MakeProgram(
-        context, ProgramFlavor::kPointToPoint, 256.0, /*seed=*/23);
-    EXPECT_TRUE(program.ok());
-    auto result = engine.Run(*program.value());
-    EXPECT_TRUE(result.ok());
-    return result.value_or(EngineResult{});
-  }();
-  ExpectBitIdentical(clamped,
-                     RunSkewedBatch(SystemKind::kPregelPlus, hw, 0));
-}
-
-TEST(ThreadClampTest, GasEngineClampedRequestMatchesHardwareRun) {
-  const uint32_t hw = ThreadPool::HardwareThreads();
-  const SkewedFixture& fx = SkewedFixture::Get();
-  GasOptions options;
-  options.cluster = RelaxedCluster(kSkewMachines);
-  options.profile = ProfileFor(SystemKind::kGraphLab);
-  options.execution_threads = hw + 1000;
-  options.clamp_threads_to_hardware = true;
-  GasBpprWalks clamped_program(fx.graph, fx.partition, 32,
-                               GasBpprWalks::Params{}, /*seed=*/13);
-  GasEngine engine(fx.graph, fx.partition, options);
-  auto clamped = engine.Run(clamped_program);
-  ASSERT_TRUE(clamped.ok());
-  uint64_t stopped = 0;
-  const GasResult reference = RunGasSkewed(hw, 0, &stopped);
-  ExpectGasIdentical(clamped.value(), reference);
-  EXPECT_EQ(clamped_program.TotalStopped(), stopped);
+  ExpectBitIdentical(baseline, RunSkewedBatch(SystemKind::kGraphD, 8));
 }
 
 }  // namespace

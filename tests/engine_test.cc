@@ -279,7 +279,7 @@ TEST(SyncEngineTest, ThreadedExecutionIsBitIdenticalToSerial) {
     SyncEngine engine(graph, part, options);
     // A stochastic program is the hard case: walk splits must come from
     // per-machine streams.
-    TaskContext context{&graph, &part, 1.0, false};
+    TaskContext context{&graph, &part, 1.0};
     BpprCountingProgram program(context, /*walks=*/64, {}, /*seed=*/3);
     auto result = engine.Run(program);
     EXPECT_TRUE(result.ok());

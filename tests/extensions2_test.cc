@@ -72,7 +72,7 @@ TEST(ConnectedComponentsTest, LabelsTwoCliques) {
   builder.AddEdges({{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
   Graph graph = builder.Build({.symmetrize = true});
   Partitioning partition = HashPartitioner().Partition(graph, 2);
-  TaskContext context{&graph, &partition, 1.0, false};
+  TaskContext context{&graph, &partition, 1.0};
   ConnectedComponentsProgram program(context);
 
   EngineOptions options;
@@ -89,7 +89,7 @@ TEST(ConnectedComponentsTest, LabelsTwoCliques) {
 TEST(ConnectedComponentsTest, RingIsOneComponent) {
   Graph ring = GenerateRing(257, 1);
   Partitioning partition = HashPartitioner().Partition(ring, 4);
-  TaskContext context{&ring, &partition, 1.0, false};
+  TaskContext context{&ring, &partition, 1.0};
   ConnectedComponentsProgram program(context);
   EngineOptions options;
   options.cluster = RelaxedCluster(4);

@@ -37,7 +37,7 @@ TEST(AggregatorTest, ToleranceStopsPageRankEarly) {
   Dataset dataset = TinyDataset();
   Partitioning partition =
       HashPartitioner().Partition(dataset.graph, 4);
-  TaskContext context{&dataset.graph, &partition, 1.0, false};
+  TaskContext context{&dataset.graph, &partition, 1.0};
 
   EngineOptions options;
   options.cluster = RelaxedCluster(4);
@@ -122,7 +122,7 @@ TEST(BatchSearchTest, RejectsBadArguments) {
 TEST(BpprSourceBatchTest, ConservesSimulatedWalks) {
   Dataset dataset = TinyDataset();
   Partitioning partition = HashPartitioner().Partition(dataset.graph, 4);
-  TaskContext context{&dataset.graph, &partition, 1.0, false};
+  TaskContext context{&dataset.graph, &partition, 1.0};
   BpprSourceBatchTask::Params params;
   params.walks_per_source = 500;
   params.max_sampled_sources = 8;
@@ -156,7 +156,7 @@ TEST(BpprSourceBatchTest, WorkloadScalesMessagesLinearly) {
 TEST(BpprSourceBatchTest, RejectsBroadcastFlavor) {
   Dataset dataset = TinyDataset();
   Partitioning partition = HashPartitioner().Partition(dataset.graph, 2);
-  TaskContext context{&dataset.graph, &partition, 1.0, false};
+  TaskContext context{&dataset.graph, &partition, 1.0};
   BpprSourceBatchTask task;
   EXPECT_FALSE(
       task.MakeProgram(context, ProgramFlavor::kBroadcast, 8, 1).ok());

@@ -20,7 +20,7 @@ class FaultToleranceTest : public ::testing::Test {
   FaultToleranceTest()
       : dataset_(LoadDataset(DatasetId::kDblp, 512.0)),
         partition_(HashPartitioner().Partition(dataset_.graph, 4)),
-        context_{&dataset_.graph, &partition_, 1.0, false} {}
+        context_{&dataset_.graph, &partition_, 1.0} {}
 
   EngineResult Run(uint64_t checkpoint_interval, uint64_t failure_round) {
     EngineOptions options;

@@ -9,7 +9,6 @@
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
-#include "graph/vertex_cut.h"
 #include "tasks/bppr.h"
 #include "tasks/gas_tasks.h"
 #include "test_util.h"
@@ -174,78 +173,141 @@ TEST(GasEngineTest, LockOverheadGrowsWithMachines) {
   EXPECT_GT(large.lock_seconds, 1.5 * small.lock_seconds);
 }
 
-TEST(GasEngineTest, PriorityShedulingIsDeterministicAndConverges) {
-  GasFixture fx(GasGraph(), 4);
-  auto run = [&](bool priority) {
-    GasPageRank::Params params;
-    params.tolerance_fraction = 1e-5;
-    GasPageRank program(fx.graph, fx.partition, params);
-    GasOptions options = fx.Options(false, 4);
-    options.priority_scheduling = priority;
-    GasEngine engine(fx.graph, fx.partition, options);
-    auto result = engine.Run(program);
-    EXPECT_TRUE(result.ok());
-    EXPECT_NEAR(program.TotalRank(), 1.0, 1e-2);
-    return result.value_or(GasResult{});
-  };
-  GasResult fifo = run(false);
-  GasResult prioritized = run(true);
-  // Both orders converge and process comparable work; priority runs are
-  // deterministic (two invocations agree exactly).
-  EXPECT_GT(prioritized.activations, 0.0);
-  EXPECT_LT(prioritized.activations, 2.0 * fifo.activations);
-  GasResult again = run(true);
-  EXPECT_DOUBLE_EQ(prioritized.activations, again.activations);
-  EXPECT_DOUBLE_EQ(prioritized.seconds, again.seconds);
-}
-
-TEST(GasEngineTest, VertexCutBoundsHubTraffic) {
-  // On a skewed graph, the vertex-cut deployment's replica-sync traffic
-  // (bounded by the replication factor) undercuts the edge-cut
-  // deployment's per-edge cross traffic.
-  RmatParams params;
-  params.num_vertices = 2000;
-  params.num_edges = 16000;
-  params.seed = 23;
-  Graph graph = GenerateRmat(params);
-  // Hash ownership for both deployments (PowerGraph also hash-places
-  // masters); the locality-optimised LDG edge cut with sender combining
-  // is already competitive, so the fair baseline is the default random
-  // placement.
-  Partitioning partition = HashPartitioner().Partition(graph, 8);
-  VertexCut cut = GreedyVertexCut(graph, 8);
-
-  auto run = [&](const VertexCut* vertex_cut) {
-    GasBpprWalks program(graph, partition, /*walks=*/32, {}, /*seed=*/3);
-    GasOptions options;
-    options.cluster = RelaxedCluster(8);
-    // Async: no sender-side combining window, so per-edge traffic is at
-    // its worst — the regime where replica synchronisation pays off.
-    // (Under the combining sync engine, merged per-target messages are
-    // already cheap and the vertex cut does NOT win; that nuance is
-    // exactly PowerGraph's delta-caching motivation.)
-    options.profile = ProfileFor(SystemKind::kGraphLabAsync);
-    options.vertex_cut = vertex_cut;
-    GasEngine engine(graph, partition, options);
-    auto result = engine.Run(program);
-    EXPECT_TRUE(result.ok());
-    // The algorithm's answer is unaffected by the deployment model.
-    EXPECT_EQ(program.TotalStopped(), 32u * graph.NumVertices());
-    return result.value_or(GasResult{});
-  };
-  GasResult edge_cut = run(nullptr);
-  GasResult vertex_cut_result = run(&cut);
-  EXPECT_GT(vertex_cut_result.network_bytes_per_machine, 0.0);
-  EXPECT_LT(vertex_cut_result.network_bytes_per_machine,
-            edge_cut.network_bytes_per_machine);
-}
-
 TEST(GasEngineTest, RejectsMismatchedCluster) {
   GasFixture fx(GasGraph(), 4);
   GasPageRank program(fx.graph, fx.partition, {});
   GasEngine engine(fx.graph, fx.partition, fx.Options(true, 8));
   EXPECT_FALSE(engine.Run(program).ok());
 }
+
+// --- Recorded numbers per (program, mode, machines) ------------------
+
+/// One run's numbers, as hex floats: every GasResult field and the
+/// program's answer (TotalRank, or TotalStopped as a double).
+struct GasRecordedRun {
+  const char* name;
+  bool pagerank;
+  bool synchronous;
+  uint32_t machines;
+  double seconds;
+  uint64_t passes;
+  double activations;
+  double messages;
+  double network_bytes_per_machine;
+  double peak_memory_bytes;
+  double barrier_seconds;
+  double lock_seconds;
+  std::vector<double> residual_bytes_per_machine;
+  double answer;
+};
+
+void PrintTo(const GasRecordedRun& run, std::ostream* os) { *os << run.name; }
+
+/// Table 4's setup in miniature: an R-MAT graph under the greedy edge
+/// cut on a Galaxy cluster of `machines`, at a stat scale above one.
+std::pair<GasResult, double> RunGasRecorded(bool pagerank, bool synchronous,
+                                            uint32_t machines) {
+  static const Graph& graph = *new Graph(
+      GenerateRmat({.num_vertices = 2000, .num_edges = 12000, .seed = 77}));
+  const Partitioning partition =
+      GreedyEdgeCutPartitioner().Partition(graph, machines);
+  GasOptions options;
+  options.cluster = ClusterSpec::Galaxy8().WithMachines(machines);
+  options.profile = ProfileFor(synchronous ? SystemKind::kGraphLab
+                                           : SystemKind::kGraphLabAsync);
+  options.stat_scale = 8.0;
+  GasEngine engine(graph, partition, options);
+  if (pagerank) {
+    GasPageRank program(graph, partition, {});
+    auto result = engine.Run(program);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return {result.value_or(GasResult{}), program.TotalRank()};
+  }
+  GasBpprWalks program(graph, partition, /*walks_per_vertex=*/16, {},
+                       /*seed=*/7);
+  auto result = engine.Run(program);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return {result.value_or(GasResult{}),
+          static_cast<double>(program.TotalStopped())};
+}
+
+/// Numbers recorded while synchronous passes still ran Process over 16
+/// frontier shards into event logs replayed in shard order. The serial
+/// pass reproduces them; any change in signal, RNG or fold order would
+/// move these.
+const std::vector<GasRecordedRun>& GasRecordedRuns() {
+  static const auto& runs = *new std::vector<GasRecordedRun>{
+      {"PageRankSync1", true, true, 1,
+       0x1.367baaa50c80bp+0, 32, 0x1.61a6p+18, 0x1.0b89ap+22, 0x0p+0,
+       0x1.53d999999999ap+20, 0x1.b089a02752542p-2, 0x0p+0,
+       {0x0p+0},
+       0x1.7e143fd30b198p-1},
+      {"PageRankSync4", true, true, 4,
+       0x1.87a326a68401fp-1, 32, 0x1.61a6p+18, 0x1.0b89ap+22, 0x1.b9b7p+21,
+       0x1.046cp+19, 0x1.13404ea4a8c14p-1, 0x0p+0,
+       {0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0},
+       0x1.7e143fd30b198p-1},
+      {"PageRankAsync1", true, false, 1,
+       0x1.23a6e14b89937p-2, 36, 0x1.a654p+17, 0x1.0447d0a3d70a4p+21, 0x0p+0,
+       0x1.7cee666666666p+22, 0x0p+0, 0x1.39707d4afa65dp-17,
+       {0x0p+0},
+       0x1.813f413fb2755p-1},
+      {"PageRankAsync4", true, false, 4,
+       0x1.141376540362p-3, 36, 0x1.a654p+17, 0x1.0447d0a3d70a4p+21,
+       0x1.042ee851eb852p+23, 0x1.96c1333333333p+20, 0x0p+0,
+       0x1.6be452c8835c4p-16,
+       {0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0},
+       0x1.813f413fb2755p-1},
+      {"BpprWalksSync1", false, true, 1,
+       0x1.6f3593e86c2b1p-1, 44, 0x1.09b8p+17, 0x1.69f4p+19, 0x0p+0,
+       0x1.7cc1333333333p+21, 0x1.295e9e1b0899dp-1, 0x0p+0,
+       {0x1.f4p+17},
+       0x1.f4p+14},
+      {"BpprWalksSync4", false, true, 4,
+       0x1.8ee9b34bb935fp-1, 44, 0x1.09b8p+17, 0x1.69f4p+19, 0x1.b9d2p+19,
+       0x1.fedp+19, 0x1.7a786c22680ap-1, 0x0p+0,
+       {0x1.548p+15, 0x1.d67p+15, 0x1.d6cp+15, 0x1.6728p+16},
+       0x1.f4p+14},
+      {"BpprWalksAsync1", false, false, 1,
+       0x1.1510a7c428265p-3, 32, 0x1.5b28p+16, 0x1.e9a6333333334p+19, 0x0p+0,
+       0x1.fb8ecccccccccp+22, 0x0p+0, 0x1.ad6a45a5818ep-18,
+       {0x1.f4p+17},
+       0x1.f4p+14},
+      {"BpprWalksAsync4", false, false, 4,
+       0x1.fdc94df5344p-5, 32, 0x1.5b28p+16, 0x1.e9a6333333334p+19,
+       0x1.d0cdp+21, 0x1.6596ccccccccdp+21, 0x0p+0, 0x1.f28917f516949p-17,
+       {0x1.55dp+15, 0x1.d94p+15, 0x1.dacp+15, 0x1.6318p+16},
+       0x1.f4p+14},
+  };
+  return runs;
+}
+
+class GasRecordedRunTest : public ::testing::TestWithParam<GasRecordedRun> {};
+
+TEST_P(GasRecordedRunTest, ReproducesRecordedNumbers) {
+  const GasRecordedRun& want = GetParam();
+  const auto [result, answer] =
+      RunGasRecorded(want.pagerank, want.synchronous, want.machines);
+  EXPECT_FALSE(result.overloaded);
+  EXPECT_EQ(result.seconds, want.seconds);
+  EXPECT_EQ(result.passes, want.passes);
+  EXPECT_EQ(result.activations, want.activations);
+  EXPECT_EQ(result.messages, want.messages);
+  EXPECT_EQ(result.network_bytes_per_machine, want.network_bytes_per_machine);
+  EXPECT_EQ(result.peak_memory_bytes, want.peak_memory_bytes);
+  EXPECT_EQ(result.barrier_seconds, want.barrier_seconds);
+  EXPECT_EQ(result.lock_seconds, want.lock_seconds);
+  EXPECT_EQ(result.residual_bytes_per_machine,
+            want.residual_bytes_per_machine);
+  EXPECT_EQ(answer, want.answer);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProgramsModesMachines, GasRecordedRunTest,
+    ::testing::ValuesIn(GasRecordedRuns()),
+    [](const ::testing::TestParamInfo<GasRecordedRun>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(GraphLabSyncModelsTest, BpprSecondsAgreeWithinABand) {
   // GraphLab sync is modelled twice (DESIGN.md §2): the SyncEngine

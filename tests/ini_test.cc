@@ -93,6 +93,67 @@ TEST(ExperimentSpecTest, RejectsUnknownKeys) {
   EXPECT_FALSE(ParseExperimentSpecs(document.value()).ok());
 }
 
+/// Parses a one-section suite `[bad]` holding `keys`.
+Status ParseOneSpec(const std::string& keys) {
+  auto document = IniDocument::Parse("[bad]\n" + keys);
+  EXPECT_TRUE(document.ok()) << document.status().ToString();
+  return ParseExperimentSpecs(document.value()).status();
+}
+
+TEST(ExperimentSpecTest, RejectsSchedulesBatchScheduleWouldAbortOn) {
+  // Each of these reaches a VCMP_CHECK in BatchSchedule if it gets past
+  // parsing.
+  for (const std::string keys :
+       {"schedule = equal:abc\n", "schedule = equal:0\n",
+        "schedule = equal:-2\n", "workload = 64\nschedule = twobatch:100\n",
+        "workload = -5\n", "workload = 0\n", "schedule = geometric:0,0.5\n",
+        "schedule = geometric:3,1.5\n", "schedule = geometric:3,x\n"}) {
+    SCOPED_TRACE(keys);
+    const Status status = ParseOneSpec(keys);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("experiment 'bad'"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(ExperimentSpecTest, RejectsCountsThatWouldWrap) {
+  // A uint32_t cast would turn -1 into 4294967295 machines or threads.
+  for (const std::string key : {"machines", "threads"}) {
+    SCOPED_TRACE(key);
+    const Status status = ParseOneSpec(key + " = -1\n");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(key + " must be in [0, 4294967295]"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(ExperimentSpecTest, AcceptsTheScheduleBounds) {
+  for (const std::string keys :
+       {"workload = 64\nschedule = twobatch:64\n",
+        "workload = 64\nschedule = twobatch:-64\n",
+        "schedule = geometric:2,1\n", "schedule = equal:1\n",
+        "schedule = tuned\n", "schedule = search\n",
+        "machines = 0\nthreads = 0\n"}) {
+    SCOPED_TRACE(keys);
+    EXPECT_TRUE(ParseOneSpec(keys).ok()) << ParseOneSpec(keys).ToString();
+  }
+}
+
+TEST(ExperimentSpecTest, RunExperimentRejectsABadScheduleWithAStatus) {
+  // Specs built in code skip ParseExperimentSpecs; the run validates the
+  // schedule the same way instead of aborting in BatchSchedule.
+  ExperimentSpec spec;
+  spec.name = "coded";
+  spec.workload = 64;
+  spec.schedule = "twobatch:100";
+  spec.scale = 512;
+  const auto result = RunExperiment(spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ExperimentSpecTest, RunsEndToEnd) {
   ExperimentSpec spec;
   spec.name = "smoke";

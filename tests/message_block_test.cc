@@ -117,43 +117,6 @@ TEST(VertexFrontierTest, DeactivateAllowsReactivation) {
   EXPECT_TRUE(frontier.Activate(10));  // Schedules again next pass.
 }
 
-TEST(VertexFrontierTest, SparseClearResetsAllBits) {
-  VertexFrontier frontier;
-  frontier.Reset(10000);  // 2 of 10000 active < 3%: the sparse path.
-  frontier.Activate(1);
-  frontier.Activate(9999);
-  frontier.Clear();
-  EXPECT_EQ(frontier.active_count(), 0u);
-  EXPECT_FALSE(frontier.IsActive(1));
-  EXPECT_FALSE(frontier.IsActive(9999));
-  EXPECT_TRUE(frontier.Activate(1));  // Fully reusable.
-  EXPECT_EQ(frontier.Take(), (std::vector<VertexId>{1}));
-}
-
-TEST(VertexFrontierTest, DenseClearResetsAllBits) {
-  VertexFrontier frontier;
-  frontier.Reset(100);  // 50 of 100 active >= 3%: the memset path.
-  for (VertexId v = 0; v < 100; v += 2) frontier.Activate(v);
-  EXPECT_EQ(frontier.active_count(), 50u);
-  frontier.Clear();
-  EXPECT_EQ(frontier.active_count(), 0u);
-  for (VertexId v = 0; v < 100; ++v) EXPECT_FALSE(frontier.IsActive(v));
-}
-
-TEST(VertexFrontierTest, ClearAfterTakeFallsBackToDenseWipe) {
-  // After Take() the pending list is gone but the bit remains; the
-  // sparse clear detects the mismatch (cleared != active_count) and must
-  // fall back to the dense wipe rather than leak a stale bit.
-  VertexFrontier frontier;
-  frontier.Reset(10000);
-  frontier.Activate(123);
-  const std::vector<VertexId> taken = frontier.Take();
-  ASSERT_EQ(taken.size(), 1u);
-  frontier.Clear();
-  EXPECT_EQ(frontier.active_count(), 0u);
-  EXPECT_FALSE(frontier.IsActive(123));
-}
-
 TEST(VertexFrontierTest, ResetResizesAndClears) {
   VertexFrontier frontier;
   frontier.Reset(64);

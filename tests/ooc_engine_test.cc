@@ -58,7 +58,6 @@ EngineOptions GraphDOptions(const OocRunConfig& config) {
   options.cluster = RelaxedCluster(4);
   options.profile = ProfileFor(SystemKind::kGraphD);
   options.execution_threads = config.threads;
-  options.clamp_threads_to_hardware = false;
   if (config.budget_bytes > 0) {
     options.ooc.enabled = true;
     options.ooc.memory_budget_bytes = config.budget_bytes;
@@ -72,8 +71,7 @@ EngineOptions GraphDOptions(const OocRunConfig& config) {
 OocRunOutcome RunPageRank(const OocRunConfig& config) {
   EngineOptions options = GraphDOptions(config);
   SyncEngine engine(TestGraph(), TestPartition(), options);
-  TaskContext context{&TestGraph(), &TestPartition(), 1.0,
-                      options.profile.combines_messages};
+  TaskContext context{&TestGraph(), &TestPartition(), 1.0};
   PageRankProgram::Params params;
   params.iterations = 8;
   PageRankProgram program(context, params);
@@ -253,8 +251,7 @@ TEST(OocEngineTest, ModeledSpillAgreesWithMeasured) {
   modeled_options.profile.ooc_budget_bytes =
       MemoryGovernor::MessageShareBytes(kTightBudget);
   SyncEngine engine(TestGraph(), TestPartition(), modeled_options);
-  TaskContext context{&TestGraph(), &TestPartition(), 1.0,
-                      modeled_options.profile.combines_messages};
+  TaskContext context{&TestGraph(), &TestPartition(), 1.0};
   PageRankProgram::Params params;
   params.iterations = 8;
   PageRankProgram program(context, params);
@@ -279,8 +276,7 @@ TEST(OocEngineTest, InfeasibleByOneBudgetIsRejected) {
 
   options.ooc.memory_budget_bytes = floor - 1;
   SyncEngine engine(TestGraph(), TestPartition(), options);
-  TaskContext context{&TestGraph(), &TestPartition(), 1.0,
-                      options.profile.combines_messages};
+  TaskContext context{&TestGraph(), &TestPartition(), 1.0};
   PageRankProgram program(context, PageRankProgram::Params{});
   auto result = engine.Run(program);
   ASSERT_FALSE(result.ok());
@@ -303,8 +299,7 @@ TEST(OocEngineTest, RequiresAnOutOfCoreProfile) {
   options.ooc.enabled = true;
   options.ooc.memory_budget_bytes = kTightBudget;
   SyncEngine engine(TestGraph(), TestPartition(), options);
-  TaskContext context{&TestGraph(), &TestPartition(), 1.0,
-                      options.profile.combines_messages};
+  TaskContext context{&TestGraph(), &TestPartition(), 1.0};
   PageRankProgram program(context, PageRankProgram::Params{});
   auto result = engine.Run(program);
   ASSERT_FALSE(result.ok());

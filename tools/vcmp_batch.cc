@@ -118,7 +118,7 @@ int Main(int argc, char** argv) {
   auto specs = ParseExperimentSpecs(document.value());
   if (!specs.ok()) {
     std::cerr << specs.status().ToString() << "\n";
-    return 1;
+    return 2;
   }
   if (!flags.GetString("memory-budget").empty()) {
     // Fail fast on a malformed size before any experiment runs; the

@@ -9,7 +9,9 @@
 //   vcmp_sim --workload=12288 --search --chart
 //   vcmp_sim --workload=2048 --batches=4 --json=report.json
 
+#include <cmath>
 #include <iostream>
+#include <limits>
 
 #include "common/flags.h"
 #include "common/string_util.h"
@@ -17,7 +19,6 @@
 #include "core/batch_search.h"
 #include "core/runner.h"
 #include "core/tuning/tuner.h"
-#include "engine/sync_engine.h"
 #include "graph/datasets.h"
 #include "metrics/ascii_chart.h"
 #include "metrics/export.h"
@@ -46,6 +47,40 @@ Result<ClusterSpec> MakeCluster(const std::string& name,
     spec = spec.WithMachines(static_cast<uint32_t>(machines));
   }
   return spec;
+}
+
+/// Checks the numeric flags the cluster and schedule are built from, so a
+/// bad value is an InvalidArgument (exit 2) instead of reaching
+/// BatchSchedule's internal checks or wrapping through a uint32_t cast.
+Status ValidateNumericFlags(const FlagParser& flags) {
+  constexpr int64_t kMaxCount = std::numeric_limits<uint32_t>::max();
+  const auto invalid = [&](const std::string& name,
+                           const std::string& requirement) {
+    return Status::InvalidArgument("--" + name + " must be " + requirement +
+                                   ", got '" + flags.GetString(name) + "'");
+  };
+  const double workload = flags.GetDouble("workload");
+  if (!(workload > 0.0) || !std::isfinite(workload)) {
+    return invalid("workload", "positive");
+  }
+  for (const char* name : {"machines", "threads"}) {
+    const int64_t value = flags.GetInt(name);
+    if (value < 0 || value > kMaxCount) {
+      return invalid(name, "a non-negative integer");
+    }
+  }
+  if (flags.GetBool("tune") || flags.GetBool("search")) return Status::OK();
+  if (flags.IsSet("delta")) {
+    if (!(std::fabs(flags.GetDouble("delta")) <= workload)) {
+      return invalid("delta", "at most --workload in magnitude");
+    }
+    return Status::OK();
+  }
+  const int64_t batches = flags.GetInt("batches");
+  if (batches < 1 || batches > kMaxCount) {
+    return invalid("batches", "a positive integer");
+  }
+  return Status::OK();
 }
 
 void PrintReport(const RunReport& report, const BatchSchedule& schedule) {
@@ -138,8 +173,13 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  // Validate every name before the (comparatively expensive) stand-in
-  // generation so typos fail fast with the registry's Status message.
+  // Validate every name and number before the (comparatively expensive)
+  // stand-in generation so typos fail fast with a Status message.
+  Status numeric = ValidateNumericFlags(flags);
+  if (!numeric.ok()) {
+    std::cerr << numeric.ToString() << "\n";
+    return 2;
+  }
   auto info = FindDataset(flags.GetString("dataset"));
   if (!info.ok()) {
     std::cerr << info.status().ToString() << "\n";
@@ -240,12 +280,23 @@ int Main(int argc, char** argv) {
         workload, static_cast<uint32_t>(flags.GetInt("batches")));
   }
 
-  // The tracer attaches only to the final run: --tune/--search probes
-  // above are exploration and stay untraced.
+  // The tracer and the round capture attach only to the final run:
+  // --tune/--search probes above are exploration and stay untraced.
   Tracer tracer;
   if (!flags.GetString("trace-out").empty()) {
     options.tracer = &tracer;
     options.trace_label = "run";
+  }
+  // --csv writes the per-round statistics of the first executed batch of
+  // the reported run (the runner aggregates; the engine keeps the rounds).
+  std::vector<RoundStats> first_batch_rounds;
+  bool captured = false;
+  if (!flags.GetString("csv").empty()) {
+    options.engine_observer = [&](const EngineResult& result) {
+      if (captured) return;
+      first_batch_rounds = result.rounds;
+      captured = true;
+    };
   }
 
   MultiProcessingRunner runner(dataset, options);
@@ -276,34 +327,14 @@ int Main(int argc, char** argv) {
     std::cout << "wrote " << flags.GetString("json") << "\n";
   }
   if (!flags.GetString("csv").empty()) {
-    // Re-run the first batch through the engine to capture round stats
-    // (the runner aggregates; the engine keeps the full trace).
-    TaskContext context{&dataset.graph, &runner.partition(), dataset.scale,
-                        runner.profile().combines_messages};
-    auto program = task.value()->MakeProgram(
-        context,
-        runner.profile().mirroring ? ProgramFlavor::kBroadcast
-                                   : ProgramFlavor::kPointToPoint,
-        schedule.workloads().front(), options.seed);
-    if (program.ok()) {
-      EngineOptions engine_options;
-      engine_options.cluster = options.cluster;
-      engine_options.profile = runner.profile();
-      engine_options.stat_scale = dataset.scale;
-      engine_options.ooc = options.ooc;
-      SyncEngine engine(dataset.graph, runner.partition(), engine_options);
-      auto result = engine.Run(*program.value());
-      if (result.ok()) {
-        Status written = WriteRoundStatsCsv(result.value().rounds,
-                                            flags.GetString("csv"));
-        if (!written.ok()) {
-          std::cerr << written.ToString() << "\n";
-          return 1;
-        }
-        std::cout << "wrote " << flags.GetString("csv") << " ("
-                  << result.value().rounds.size() << " rounds)\n";
-      }
+    Status written =
+        WriteRoundStatsCsv(first_batch_rounds, flags.GetString("csv"));
+    if (!written.ok()) {
+      std::cerr << written.ToString() << "\n";
+      return 1;
     }
+    std::cout << "wrote " << flags.GetString("csv") << " ("
+              << first_batch_rounds.size() << " rounds)\n";
   }
   return 0;
 }
