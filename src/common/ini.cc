@@ -1,6 +1,7 @@
 #include "common/ini.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -107,10 +108,34 @@ Result<double> IniDocument::GetDouble(const Section& section,
 Result<int64_t> IniDocument::GetInt(const Section& section,
                                     const std::string& key,
                                     int64_t fallback) {
-  VCMP_ASSIGN_OR_RETURN(double value,
-                        GetDouble(section, key,
-                                  static_cast<double>(fallback)));
+  auto it = section.values.find(key);
+  if (it == section.values.end()) return fallback;
+  VCMP_ASSIGN_OR_RETURN(double value, GetDouble(section, key, 0.0));
+  // Every whole double in [-2^63, 2^63) converts exactly; anything else
+  // would truncate or be undefined behaviour.
+  constexpr double kTwoPow63 = 9223372036854775808.0;
+  if (!std::isfinite(value) || value != std::trunc(value) ||
+      value < -kTwoPow63 || value >= kTwoPow63) {
+    return Status::InvalidArgument("key '" + key +
+                                   "' is not a whole number in the int64 "
+                                   "range: '" +
+                                   it->second + "'");
+  }
   return static_cast<int64_t>(value);
+}
+
+Result<int64_t> IniDocument::GetIntInRange(const Section& section,
+                                           const std::string& key,
+                                           int64_t fallback, int64_t min,
+                                           int64_t max) {
+  VCMP_ASSIGN_OR_RETURN(int64_t value, GetInt(section, key, fallback));
+  if (value < min || value > max) {
+    return Status::InvalidArgument(StrFormat(
+        "section '%s': %s must be in [%lld, %lld], got %lld",
+        section.name.c_str(), key.c_str(), static_cast<long long>(min),
+        static_cast<long long>(max), static_cast<long long>(value)));
+  }
+  return value;
 }
 
 std::string IniDocument::GetString(const Section& section,

@@ -1,6 +1,7 @@
 #ifndef VCMP_COMMON_INI_H_
 #define VCMP_COMMON_INI_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,11 +39,19 @@ class IniDocument {
   const Section* FindSection(const std::string& name) const;
 
   /// Typed access with defaults; the key's absence returns the fallback,
-  /// a malformed number is an error.
+  /// a malformed number is an error. GetInt also rejects a value that is
+  /// not finite, not whole or outside the int64_t range (never truncates).
   static Result<double> GetDouble(const Section& section,
                                   const std::string& key, double fallback);
   static Result<int64_t> GetInt(const Section& section,
                                 const std::string& key, int64_t fallback);
+  /// GetInt limited to [min, max]: a value outside is an InvalidArgument
+  /// naming the section and key, so a count cast to an unsigned type
+  /// never wraps.
+  static Result<int64_t> GetIntInRange(const Section& section,
+                                       const std::string& key,
+                                       int64_t fallback, int64_t min,
+                                       int64_t max);
   static std::string GetString(const Section& section,
                                const std::string& key,
                                const std::string& fallback);

@@ -1,7 +1,6 @@
 #include "core/concurrent_runner.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -9,8 +8,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/wall_clock.h"
-#include "obs/trace_merge.h"
-#include "obs/tracer.h"
 #include "ooc/ooc_runtime.h"
 
 namespace vcmp {
@@ -57,15 +54,14 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
       return Status::InvalidArgument("query has no task");
     }
   }
-  if (options_.base.tracer != nullptr || options_.base.pool != nullptr ||
+  if (options_.base.pool != nullptr ||
       options_.base.shared_partition != nullptr ||
       options_.base.query_id != 0) {
     return Status::InvalidArgument(
-        "base options must leave per-query fields (tracer, pool, "
+        "base options must leave per-query fields (pool, "
         "shared_partition, query_id) unset");
   }
-  if (options_.base.batch_observer || options_.base.engine_observer ||
-      options_.base.residual_observer) {
+  if (options_.base.batch_observer || options_.base.engine_observer) {
     return Status::InvalidArgument(
         "per-batch observers are not supported on concurrent runs (they "
         "would execute on several driver threads at once)");
@@ -107,12 +103,6 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
 
   ConcurrentRunReport report;
   report.queries.resize(queries.size());
-  // Private tracer per query (the recorder is not thread-safe), merged
-  // in query order below. deque: Tracer is neither movable nor copyable.
-  std::deque<Tracer> tracers;
-  if (options_.tracer != nullptr) {
-    for (size_t i = 0; i < queries.size(); ++i) tracers.emplace_back();
-  }
 
   const uint64_t start_ns = wallclock::NowNs();
   // Static round-robin interleaving: driver slot s executes queries
@@ -126,12 +116,6 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
       opts.query_id = i;
       opts.pool = &pool;
       opts.shared_partition = &partition_;
-      if (options_.tracer != nullptr) {
-        opts.tracer = &tracers[i];
-        opts.trace_label = query.label.empty()
-                               ? StrFormat("q%zu", i)
-                               : query.label;
-      }
       if (opts.ooc.enabled) {
         // Disjoint spill directories; an empty base directory already
         // yields a unique temp dir per engine run.
@@ -167,11 +151,6 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
   }
   report.wall_seconds = wallclock::SecondsSince(start_ns);
 
-  if (options_.tracer != nullptr) {
-    for (const Tracer& tracer : tracers) {
-      MergeTraceInto(*options_.tracer, tracer);
-    }
-  }
   for (const QueryOutcome& outcome : report.queries) {
     if (!outcome.status.ok()) {
       ++report.queries_failed;

@@ -2,7 +2,6 @@
 #define VCMP_CORE_CONCURRENT_RUNNER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -15,27 +14,22 @@
 
 namespace vcmp {
 
-class Tracer;
-
 /// One query of a concurrent multi-query run: a multi-task workload plus
 /// the batch schedule to execute it under.
 struct ConcurrentQuery {
   /// Must outlive the Run call.
   const MultiTask* task = nullptr;
   BatchSchedule schedule;
-  /// Trace "process" label for this query's tracks; empty derives
-  /// "q<index>".
-  std::string label;
 };
 
 /// Configuration of a concurrent multi-query run.
 struct ConcurrentRunnerOptions {
   /// Template for every query's MultiProcessingRunner: cluster, system,
   /// cost, seed, threads, out-of-core settings. Per-query fields
-  /// (query_id, pool, shared_partition, tracer, ooc directory/budget) are
-  /// overwritten by the concurrent runner; base.tracer and the per-batch
-  /// observer hooks must be unset (observers would otherwise run on
-  /// several driver threads at once).
+  /// (query_id, pool, shared_partition, ooc directory/budget) are
+  /// overwritten by the concurrent runner; the per-batch observer hooks
+  /// must be unset (they would otherwise run on several driver threads
+  /// at once).
   RunnerOptions base;
 
   /// Queries in flight at once (K). Query i is pinned to driver slot
@@ -43,12 +37,6 @@ struct ConcurrentRunnerOptions {
   /// the machine is a function of (i, K) and never of timing. 1 executes
   /// the queries back to back (the historical serial behavior).
   uint32_t concurrency = 1;
-
-  /// Optional merged trace. Each query records into a private tracer
-  /// (the recorder is not thread-safe) and the recordings are replayed
-  /// into this one in query order after every query finished, so the
-  /// merged trace is deterministic at every concurrency level.
-  Tracer* tracer = nullptr;
 };
 
 /// Per-query outcome: a failed query (bad spec, infeasible budget) does
@@ -80,11 +68,12 @@ struct ConcurrentRunReport {
 /// All queries run against one graph, one partition (computed once in the
 /// constructor — it depends only on graph/profile/cluster) and one
 /// ThreadPool; everything a query mutates lives in its own
-/// MultiProcessingRunner, QueryContext arenas, tracer and spill
-/// directory. Per-query results are bit-identical to running the same
-/// query alone: each is a pure function of (task, schedule, base seed,
-/// query id), and the query id namespaces every seed derivation
-/// (DESIGN.md section 14).
+/// MultiProcessingRunner, QueryContext arenas and spill directory.
+/// Per-query results are bit-identical to running the same query alone:
+/// each is a pure function of (task, schedule, base seed, query id), and
+/// the query id namespaces every seed derivation (DESIGN.md section 14).
+/// A caller that wants a trace draws it from the reports
+/// (obs/run_trace.h), in query order.
 class ConcurrentRunner {
  public:
   /// `dataset` must outlive the runner.

@@ -152,24 +152,11 @@ Result<BatchSchedule> ResolveSchedule(const ExperimentSpec& spec,
                                        schedule.ratio);
 }
 
-/// Reads an integer key that must fit a uint32_t (negative values would
-/// wrap to about four billion).
-Result<uint32_t> GetUint32(const IniDocument::Section& section,
-                           const std::string& key) {
-  VCMP_ASSIGN_OR_RETURN(int64_t value, IniDocument::GetInt(section, key, 0));
-  if (value < 0 || value > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument(
-        "experiment '" + section.name + "': " + key + " must be in [0, " +
-        std::to_string(std::numeric_limits<uint32_t>::max()) + "], got " +
-        std::to_string(value));
-  }
-  return static_cast<uint32_t>(value);
-}
-
 }  // namespace
 
 Result<std::vector<ExperimentSpec>> ParseExperimentSpecs(
     const IniDocument& document) {
+  constexpr int64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
   std::vector<ExperimentSpec> specs;
   for (const IniDocument::Section& section : document.sections()) {
     if (section.name.empty()) {
@@ -189,7 +176,10 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpecs(
     spec.task = IniDocument::GetString(section, "task", spec.task);
     spec.system = IniDocument::GetString(section, "system", spec.system);
     spec.cluster = IniDocument::GetString(section, "cluster", spec.cluster);
-    VCMP_ASSIGN_OR_RETURN(spec.machines, GetUint32(section, "machines"));
+    VCMP_ASSIGN_OR_RETURN(
+        int64_t machines,
+        IniDocument::GetIntInRange(section, "machines", 0, 0, kMaxUint32));
+    spec.machines = static_cast<uint32_t>(machines);
     VCMP_ASSIGN_OR_RETURN(
         spec.workload,
         IniDocument::GetDouble(section, "workload", spec.workload));
@@ -200,7 +190,10 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpecs(
     VCMP_ASSIGN_OR_RETURN(int64_t seed,
                           IniDocument::GetInt(section, "seed", 1));
     spec.seed = static_cast<uint64_t>(seed);
-    VCMP_ASSIGN_OR_RETURN(spec.threads, GetUint32(section, "threads"));
+    VCMP_ASSIGN_OR_RETURN(
+        int64_t threads,
+        IniDocument::GetIntInRange(section, "threads", 0, 0, kMaxUint32));
+    spec.threads = static_cast<uint32_t>(threads);
     spec.memory_budget =
         IniDocument::GetString(section, "memory_budget", "");
     spec.ooc_dir = IniDocument::GetString(section, "ooc_dir", "");
@@ -213,8 +206,7 @@ Result<std::vector<ExperimentSpec>> ParseExperimentSpecs(
   return specs;
 }
 
-Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec,
-                                       Tracer* tracer) {
+Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec) {
   VCMP_ASSIGN_OR_RETURN(DatasetInfo info, FindDataset(spec.dataset));
   Dataset dataset = LoadDataset(info.id, spec.scale);
 
@@ -248,10 +240,6 @@ Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec,
   VCMP_ASSIGN_OR_RETURN(
       result.schedule,
       ResolveSchedule(spec, dataset, options, *task));
-  // Wired only after schedule resolution so tuner/search probes do not
-  // flood the trace with exploration runs.
-  options.tracer = tracer;
-  options.trace_label = spec.name;
   MultiProcessingRunner runner(dataset, options);
   VCMP_ASSIGN_OR_RETURN(result.report, runner.Run(*task, result.schedule));
   return result;

@@ -12,8 +12,6 @@
 
 namespace vcmp {
 
-class Tracer;
-
 /// A declarative experiment: everything needed to run one simulated
 /// multi-processing job, loadable from an INI file (configs/*.ini). This
 /// is how saved experiment suites are replayed without recompiling:
@@ -65,11 +63,9 @@ struct ExperimentResult {
 
 /// Resolves the spec (dataset stand-in, cluster, system, task, schedule —
 /// including `tuned` via the Section-5 tuner and `search` via the
-/// batch-count search) and runs it. When `tracer` is set, the main run
-/// records onto it under the spec's name (tuner/search probe runs stay
-/// untraced — they are exploration, not the experiment).
-Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec,
-                                       Tracer* tracer = nullptr);
+/// batch-count search) and runs it. The report is the main run's alone:
+/// tuner/search probe runs are exploration, not the experiment.
+Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec);
 
 }  // namespace vcmp
 

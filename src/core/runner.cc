@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "obs/tracer.h"
 #include "sim/monetary_model.h"
 
 namespace vcmp {
@@ -45,9 +44,9 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
   ProgramFlavor flavor = profile_.mirroring ? ProgramFlavor::kBroadcast
                                             : ProgramFlavor::kPointToPoint;
 
-  // The engine keeps carryover in generated-graph-scale bytes; the hook
-  // API (initial_residual_bytes / residual_observer) speaks paper-scale
-  // like every report, so conversion happens here at the boundary.
+  // The engine keeps carryover in generated-graph-scale bytes;
+  // initial_residual_bytes and the report speak paper scale, so
+  // conversion happens here at the boundary.
   std::vector<double> carryover(options_.cluster.num_machines, 0.0);
   if (!options_.initial_residual_bytes.empty()) {
     if (options_.initial_residual_bytes.size() != carryover.size()) {
@@ -58,13 +57,6 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
       carryover[machine] =
           options_.initial_residual_bytes[machine] / dataset_.scale;
     }
-  }
-  Tracer* const tracer = options_.tracer;
-  uint32_t batch_track = 0;
-  uint32_t engine_track = 0;
-  if (tracer != nullptr) {
-    batch_track = tracer->AddTrack(options_.trace_label, "batches");
-    engine_track = tracer->AddTrack(options_.trace_label, "engine");
   }
 
   // One context for the whole run: batches of a query execute in order,
@@ -105,14 +97,6 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
         options_.checkpoint_interval_rounds;
     engine_options.ooc = options_.ooc;
     engine_options.seed = options_.seed + batch_index;
-    if (tracer != nullptr) {
-      // Batches line up end to end on the report's own running sum, so
-      // engine round spans land inside their batch span (batch.seconds
-      // >= engine seconds; the overhead is the uninstrumented tail).
-      engine_options.tracer = tracer;
-      engine_options.trace_track = engine_track;
-      engine_options.trace_time_offset_seconds = report.total_seconds;
-    }
 
     SyncEngine engine(dataset_.graph, *partition_, engine_options);
     VCMP_ASSIGN_OR_RETURN(EngineResult result,
@@ -120,7 +104,9 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
     if (options_.engine_observer) options_.engine_observer(result);
 
     BatchReport batch;
+    batch.index = batch_index;
     batch.workload = workload;
+    batch.engine_seconds = result.seconds;
     batch.seconds = result.seconds + options_.cost.batch_overhead_seconds;
     batch.overloaded = result.overloaded;
     batch.rounds = result.num_rounds;
@@ -134,25 +120,17 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
     batch.disk_saturated = result.disk_saturated;
     batch.max_io_queue_length = result.max_io_queue_length;
     batch.spilled_bytes = result.spilled_bytes;
-    const double batch_start_seconds = report.total_seconds;
-    report.Absorb(batch);
-    if (tracer != nullptr) {
-      tracer->Begin(batch_track, "batch", batch_start_seconds,
-                    {{"batch", static_cast<double>(batch_index)},
-                     {"workload", workload},
-                     {"rounds", static_cast<double>(batch.rounds)},
-                     {"messages", batch.messages},
-                     {"peak_memory_bytes", batch.peak_memory_bytes}});
-      tracer->End(batch_track, report.total_seconds);
-      tracer->Add("runner.batches", 1.0);
-      tracer->Add("runner.seconds", batch.seconds);
-      tracer->Add("runner.messages", batch.messages);
-      tracer->Add("runner.rounds", static_cast<double>(batch.rounds));
+    batch.round_stats = std::move(result.rounds);
+    if (engine.mirror_plan() != nullptr) {
+      batch.mirrors = engine.mirror_plan()->TotalMirrors();
     }
+    batch.ooc = result.ooc;
+    batch.ooc_active = result.ooc_active;
+    report.Absorb(std::move(batch));
 
     if (options_.batch_observer) options_.batch_observer(*program);
 
-    if (batch.overloaded ||
+    if (result.overloaded ||
         report.total_seconds > options_.cost.overload_cutoff_seconds) {
       report.overloaded = true;
       break;  // The paper stops overloaded runs at the cut-off.
@@ -160,29 +138,18 @@ Result<RunReport> MultiProcessingRunner::Run(const MultiTask& task,
 
     // Residual memory of this batch persists into the next ones: results
     // the program recorded through MessageSink::AddResidualBytes, folded
-    // per machine by the engine.
+    // per machine by the engine. The report keeps the largest machine's
+    // total, the mid-workload observation point the online batcher
+    // inverts the memory models against.
+    double max_carryover = 0.0;
     for (uint32_t machine = 0; machine < carryover.size(); ++machine) {
       if (machine < result.residual_bytes_per_machine.size()) {
         carryover[machine] += result.residual_bytes_per_machine[machine];
       }
+      max_carryover =
+          std::max(max_carryover, carryover[machine] * dataset_.scale);
     }
-    if (options_.residual_observer || tracer != nullptr) {
-      std::vector<double> paper_scale(carryover.size());
-      double max_carryover = 0.0;
-      for (uint32_t machine = 0; machine < carryover.size(); ++machine) {
-        paper_scale[machine] = carryover[machine] * dataset_.scale;
-        max_carryover = std::max(max_carryover, paper_scale[machine]);
-      }
-      if (tracer != nullptr) {
-        // The mid-workload observation point the online batcher inverts
-        // the memory models against, now visible per batch boundary.
-        tracer->Gauge(batch_track, "carryover_residual_bytes",
-                      report.total_seconds, max_carryover);
-      }
-      if (options_.residual_observer) {
-        options_.residual_observer(batch_index, paper_scale);
-      }
-    }
+    report.batches.back().carryover_residual_bytes = max_carryover;
   }
 
   if (report.overloaded) {

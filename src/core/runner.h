@@ -19,7 +19,6 @@
 namespace vcmp {
 
 class ThreadPool;
-class Tracer;
 
 /// Configuration of a multi-processing run.
 struct RunnerOptions {
@@ -63,32 +62,17 @@ struct RunnerOptions {
   OocOptions ooc;
   /// Called with each batch's finished program (result aggregation).
   std::function<void(const VertexProgram&)> batch_observer;
-  /// Called with each batch's raw EngineResult (phase times, round trace)
-  /// before it is folded into the RunReport.
+  /// Called with each batch's raw EngineResult as the engine returns,
+  /// before it is folded into the RunReport: the point to read the
+  /// measured phase times and to close a wall-clock span around the
+  /// engine. The rounds, the out-of-core I/O and the carryover are in
+  /// the report itself.
   std::function<void(const EngineResult&)> engine_observer;
   /// Residual memory already resident on each machine before batch 1
   /// (paper-scale bytes). The serving layer seeds this with the unflushed
   /// residuals of other in-flight jobs so their footprint counts toward
   /// overload exactly like the run's own carryover. Empty = zero.
   std::vector<double> initial_residual_bytes;
-  /// Called after every batch with the accumulated per-machine residual
-  /// (paper-scale bytes, including initial_residual_bytes) — the
-  /// mid-workload observation point the online batcher inverts the
-  /// memory models against.
-  std::function<void(uint64_t batch_index,
-                     const std::vector<double>& residual_bytes)>
-      residual_observer;
-  /// --- Observability (src/obs) ---
-  /// When set, the runner registers two tracks under the `trace_label`
-  /// process — "batches" (one span per executed batch, plus a
-  /// carryover-residual gauge after each) and "engine" (the per-round
-  /// spans, batches lined up end to end on one simulated timeline) —
-  /// and accumulates flat counters (runner.batches, runner.seconds,
-  /// engine.*) that reconcile exactly with the RunReport. Null = off.
-  Tracer* tracer = nullptr;
-  /// Trace "process" name grouping this run's tracks (suite drivers set
-  /// it to the experiment name so runs stay distinguishable).
-  std::string trace_label = "run";
 };
 
 /// Executes a multi-processing task under a batch schedule: batches run

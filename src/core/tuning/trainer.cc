@@ -1,6 +1,6 @@
 #include "core/tuning/trainer.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace vcmp {
 
@@ -32,22 +32,17 @@ Result<std::vector<TrainingSample>> Trainer::CollectSamples(
   samples.reserve(workloads.size());
   for (double workload : workloads) {
     // Fresh runner per sample: training runs are independent 1-batch jobs.
-    RunnerOptions run_options = runner_options_;
-    double final_residual = 0.0;
-    run_options.residual_observer =
-        [&](uint64_t, const std::vector<double>& residual_bytes) {
-          for (double bytes : residual_bytes) {
-            final_residual = std::max(final_residual, bytes);
-          }
-        };
-    MultiProcessingRunner runner(dataset_, run_options);
+    MultiProcessingRunner runner(dataset_, runner_options_);
     VCMP_ASSIGN_OR_RETURN(
         RunReport report,
         runner.Run(task, BatchSchedule::FullParallelism(workload)));
     TrainingSample sample;
     sample.workload = workload;
     sample.peak_memory_bytes = report.peak_memory_bytes;
-    sample.residual_memory_bytes = final_residual;
+    sample.residual_memory_bytes =
+        report.batches.empty()
+            ? 0.0
+            : report.batches.back().carryover_residual_bytes;
     sample.seconds = report.total_seconds;
     samples.push_back(sample);
   }

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "engine/frontier.h"
-#include "obs/tracer.h"
 #include "sim/round_load.h"
 
 namespace vcmp {
@@ -173,12 +172,6 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
 
   Context context(this, ctx.query_id);
 
-  Tracer* const tracer = options_.tracer;
-  uint32_t trace_track = options_.trace_track;
-  if (tracer != nullptr && trace_track == GasOptions::kAutoTrack) {
-    trace_track = tracer->AddTrack("gas", "passes");
-  }
-
   GasResult result;
   double total_processed_signals = 0.0;  // For async pricing.
   double total_activations = 0.0;
@@ -256,29 +249,6 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
 
     if (profile.synchronous) {
       RoundStats stats = cost_model.EvaluateRound(loads, 0.0);
-      if (tracer != nullptr) {
-        // Same anchoring discipline as SyncEngine: pass boundaries ride
-        // the running result.seconds sum; the compute/barrier children
-        // are clamped into the pass span.
-        const double offset = options_.trace_time_offset_seconds;
-        const double t0 = offset + result.seconds;
-        const double t_end =
-            offset + (result.seconds + stats.total_seconds);
-        tracer->Begin(trace_track, "pass", t0,
-                      {{"pass", static_cast<double>(pass)},
-                       {"signals", pass_messages},
-                       {"active_vertices",
-                        static_cast<double>(frontier.size()) * scale}});
-        double t = std::min(
-            t0 + (stats.total_seconds - stats.barrier_seconds), t_end);
-        tracer->Begin(trace_track, "compute", t0);
-        tracer->End(trace_track, t);
-        tracer->Begin(trace_track, "barrier", t);
-        tracer->End(trace_track, t_end);
-        tracer->End(trace_track, t_end);
-        tracer->Gauge(trace_track, "memory_bytes", t_end,
-                      stats.max_memory_bytes);
-      }
       result.seconds += stats.total_seconds;
       result.barrier_seconds += stats.barrier_seconds;
       result.peak_memory_bytes =
@@ -365,23 +335,6 @@ Result<GasResult> GasEngine::Run(GasVertexProgram& program,
   if (result.overloaded) {
     result.seconds = std::max(result.seconds,
                               options_.cost.overload_cutoff_seconds);
-  }
-  if (tracer != nullptr) {
-    if (!profile.synchronous) {
-      // Async has no per-pass simulated timeline (time is priced once,
-      // above): one span covers the whole execution.
-      const double offset = options_.trace_time_offset_seconds;
-      tracer->Begin(trace_track, "async-execution", offset,
-                    {{"passes", static_cast<double>(result.passes)},
-                     {"activations", result.activations},
-                     {"lock_seconds", result.lock_seconds}});
-      tracer->End(trace_track, offset + result.seconds);
-    }
-    tracer->Add("gas.messages", result.messages);
-    tracer->Add("gas.passes", static_cast<double>(result.passes));
-    tracer->Add("gas.seconds", result.seconds);
-    tracer->Add("gas.activations", result.activations);
-    tracer->Peak("gas.peak_memory_bytes", result.peak_memory_bytes);
   }
   return result;
 }

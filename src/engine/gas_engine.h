@@ -16,7 +16,6 @@
 namespace vcmp {
 
 class GasEngine;
-class Tracer;
 
 /// Context handed to GasVertexProgram::Process.
 class GasContext {
@@ -102,17 +101,6 @@ struct GasOptions {
   double stat_scale = 1.0;
   uint64_t seed = 7;
   uint64_t max_passes = 8192;
-  /// --- Observability (src/obs) ---
-  /// When set, synchronous passes emit nested pass > {compute, barrier}
-  /// spans plus memory gauges; asynchronous runs (no per-pass simulated
-  /// timeline — time is priced once at the end) emit a single execution
-  /// span. Timestamps are simulated seconds offset by
-  /// trace_time_offset_seconds. Null = off (one branch per pass).
-  Tracer* tracer = nullptr;
-  /// kAutoTrack registers a fresh "gas/passes" track at Run().
-  uint32_t trace_track = kAutoTrack;
-  double trace_time_offset_seconds = 0.0;
-  static constexpr uint32_t kAutoTrack = ~0u;
 };
 
 /// Executes a GasVertexProgram.

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/wall_clock.h"
-#include "obs/tracer.h"
 #include "ooc/ooc_runtime.h"
 
 namespace vcmp {
@@ -461,17 +460,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   std::vector<std::vector<uint32_t>> ooc_degrees(rt != nullptr ? machines
                                                                : 0);
 
-  // Tracing rides the simulated clock: this run sits on the caller's
-  // timeline at trace_time_offset_seconds (the runner lines batches up
-  // by passing a cumulative offset). All trace content derives from
-  // round statistics that are bit-identical across thread counts, so
-  // the trace is too.
-  Tracer* const tracer = options_.tracer;
-  uint32_t trace_track = options_.trace_track;
-  if (tracer != nullptr && trace_track == EngineOptions::kAutoTrack) {
-    trace_track = tracer->AddTrack("engine", "rounds");
-  }
-
   for (uint64_t round = 0; round <= options_.max_rounds; ++round) {
     for (Worker& worker : workers) worker.send_stats().Clear();
 
@@ -847,16 +835,14 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
 
     // --- Fault tolerance: checkpoints and injected failures ---
-    double round_checkpoint_seconds = 0.0;
-    double round_recovery_seconds = 0.0;
     if (options_.checkpoint_interval_rounds > 0 && round > 0 &&
         round % options_.checkpoint_interval_rounds == 0) {
       // Synchronous checkpoint: every machine flushes its resident data.
       double checkpoint_time = stats.max_memory_bytes /
                                options_.cluster.machine.disk_bandwidth;
       stats.total_seconds += checkpoint_time;
+      stats.checkpoint_seconds = checkpoint_time;
       result.checkpoint_seconds += checkpoint_time;
-      round_checkpoint_seconds = checkpoint_time;
       ++result.checkpoints_taken;
       seconds_since_checkpoint = 0.0;
     }
@@ -876,68 +862,10 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
                                : result.seconds;
       result.recovery_seconds = reload_time + replay_time;
       stats.total_seconds += result.recovery_seconds;
-      round_recovery_seconds = result.recovery_seconds;
+      stats.recovery_seconds = result.recovery_seconds;
       result.failure_recovered = true;
     }
     seconds_since_checkpoint += stats.total_seconds;
-
-    if (tracer != nullptr) {
-      // The round partitions: the machines work (compute with
-      // network/disk stalls overlapped), then the barrier, then any
-      // checkpoint flush and failure recovery. Round boundaries are
-      // anchored to the same running sum result.seconds uses, so round
-      // starts are monotone by FP-addition monotonicity; the child
-      // chain is clamped into [t0, t_end] so nesting survives the last
-      // ulp of rounding. Per-phase maxima that do not form a timeline
-      // (they come from different machines) travel as span args.
-      const double t0 = options_.trace_time_offset_seconds + result.seconds;
-      const double t_end = options_.trace_time_offset_seconds +
-                           (result.seconds + stats.total_seconds);
-      const double work = stats.total_seconds - stats.barrier_seconds -
-                          round_checkpoint_seconds -
-                          round_recovery_seconds;
-      tracer->Begin(trace_track, "round", t0,
-                    {{"round", static_cast<double>(round)},
-                     {"messages", stats.messages},
-                     {"message_bytes", stats.message_bytes},
-                     {"cross_machine_bytes", stats.cross_machine_bytes},
-                     {"active_vertices", stats.active_vertices}});
-      double t = t0;
-      auto child = [&](const char* name, double duration,
-                       std::vector<TraceArg> args = {}) {
-        tracer->Begin(trace_track, name, t, std::move(args));
-        t = std::min(t + duration, t_end);
-        tracer->End(trace_track, t);
-      };
-      child("compute", work,
-            {{"max_compute_seconds", stats.compute_seconds},
-             {"network_stall_seconds", stats.network_seconds},
-             {"disk_stall_seconds", stats.disk_stall_seconds},
-             {"thrash_multiplier", stats.thrash_multiplier}});
-      child("barrier", stats.barrier_seconds);
-      if (round_checkpoint_seconds > 0.0) {
-        child("checkpoint", round_checkpoint_seconds);
-      }
-      if (round_recovery_seconds > 0.0) {
-        child("recovery", round_recovery_seconds);
-      }
-      if (rt != nullptr && stats.spilled_bytes > 0.0) {
-        // Real OOC only (non-OOC traces stay byte-identical): a marker
-        // span inside the round carrying the measured spill traffic.
-        // Its I/O time is already part of the compute child's disk
-        // stalls, so the marker adds no duration of its own.
-        child("ooc_spill", 0.0, {{"spilled_bytes", stats.spilled_bytes}});
-      }
-      tracer->End(trace_track, t_end);
-      tracer->Gauge(trace_track, "memory_bytes", t_end,
-                    stats.max_memory_bytes);
-      tracer->Gauge(trace_track, "residual_bytes", t_end,
-                    stats.max_residual_bytes);
-      if (rt != nullptr) {
-        tracer->Gauge(trace_track, "ooc_spilled_bytes", t_end,
-                      stats.spilled_bytes);
-      }
-    }
 
     result.seconds += stats.total_seconds;
     result.total_messages += stats.messages;
@@ -1031,41 +959,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   if (collect_times) {
     for (const Worker& worker : workers) {
       result.phase.group_seconds += worker.group_ns() * 1e-9;
-    }
-  }
-  if (tracer != nullptr) {
-    // One Add per run, mirroring RunReport::Absorb's per-batch
-    // accumulation so the flat counters reconcile bitwise with the
-    // report totals (per-round adds would associate differently).
-    tracer->Add("engine.messages", result.total_messages);
-    tracer->Add("engine.rounds", static_cast<double>(result.num_rounds));
-    tracer->Add("engine.seconds", result.seconds);
-    tracer->Add("engine.checkpoint_seconds", result.checkpoint_seconds);
-    tracer->Add("engine.checkpoints",
-                static_cast<double>(result.checkpoints_taken));
-    tracer->Peak("engine.peak_memory_bytes", result.peak_memory_bytes);
-    tracer->Peak("engine.peak_residual_bytes",
-                 result.peak_residual_bytes);
-    tracer->Peak("engine.peak_buffered_bytes",
-                 result.peak_buffered_bytes);
-    if (mirror_plan_ != nullptr) {
-      tracer->Peak("engine.mirrors",
-                   static_cast<double>(mirror_plan_->TotalMirrors()));
-    }
-    if (result.ooc_active) {
-      tracer->Add("engine.ooc.spilled_bytes", result.spilled_bytes);
-      tracer->Add("engine.ooc.spill_bytes_written",
-                  result.ooc.spill_bytes_written);
-      tracer->Add("engine.ooc.spill_bytes_read",
-                  result.ooc.spill_bytes_read);
-      tracer->Add("engine.ooc.state_bytes_read",
-                  result.ooc.state_bytes_read);
-      tracer->Add("engine.ooc.cache_hits",
-                  static_cast<double>(result.ooc.cache_hits));
-      tracer->Add("engine.ooc.cache_misses",
-                  static_cast<double>(result.ooc.cache_misses));
-      tracer->Peak("engine.ooc.peak_live_bytes",
-                   result.ooc.peak_live_bytes);
     }
   }
   return result;

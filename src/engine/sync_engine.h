@@ -21,7 +21,6 @@
 
 namespace vcmp {
 
-class Tracer;
 class OocRuntime;
 
 /// Configuration of one engine execution.
@@ -51,21 +50,6 @@ struct EngineOptions {
   /// (perf-trajectory benches). Off by default: the hot paths then pay
   /// only a predictable branch per round.
   bool collect_phase_times = false;
-
-  /// --- Observability (src/obs) ---
-  /// When set, the engine emits one nested span group per round on
-  /// `trace_track` — round > {compute, barrier, checkpoint, recovery} —
-  /// timestamped from the SIMULATED clock (offset by
-  /// trace_time_offset_seconds so batches line up on the caller's
-  /// timeline), plus per-round memory/residual gauges and batch-level
-  /// flat counters that reconcile exactly with the RunReport. Null means
-  /// tracing is off and costs one predictable branch per round.
-  Tracer* tracer = nullptr;
-  /// Track to emit on; kAutoTrack registers a fresh "engine/rounds"
-  /// track at Run() (standalone engine users; the runner passes its own).
-  uint32_t trace_track = kAutoTrack;
-  double trace_time_offset_seconds = 0.0;
-  static constexpr uint32_t kAutoTrack = ~0u;
 
   /// --- Real out-of-core execution (src/ooc, DESIGN.md section 13) ---
   /// When ooc.enabled, the engine runs under the hard per-machine memory

@@ -32,6 +32,10 @@ struct RoundStats {
   double network_seconds = 0.0;   // Un-hidden network flush time.
   double disk_stall_seconds = 0.0;
   double barrier_seconds = 0.0;
+  /// Checkpoint flush and failure recovery added to this round (0 unless
+  /// fault tolerance is on); both are part of total_seconds.
+  double checkpoint_seconds = 0.0;
+  double recovery_seconds = 0.0;
   double total_seconds = 0.0;     // Round wall-clock.
 
   /// Peak memory demand on the most loaded machine (bytes).

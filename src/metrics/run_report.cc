@@ -1,13 +1,13 @@
 #include "metrics/run_report.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/string_util.h"
 
 namespace vcmp {
 
-void RunReport::Absorb(const BatchReport& batch) {
-  batches.push_back(batch);
+void RunReport::Absorb(BatchReport batch) {
   total_seconds += batch.seconds;
   overloaded = overloaded || batch.overloaded;
   total_rounds += batch.rounds;
@@ -31,6 +31,7 @@ void RunReport::Absorb(const BatchReport& batch) {
   max_io_queue_length =
       std::max(max_io_queue_length, batch.max_io_queue_length);
   spilled_bytes += batch.spilled_bytes;
+  batches.push_back(std::move(batch));
 }
 
 std::string RunReport::ToString() const {

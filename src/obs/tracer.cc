@@ -83,11 +83,6 @@ double Tracer::counter(const std::string& name) const {
   return it == counters_.end() ? 0.0 : it->second;
 }
 
-bool Tracer::counter_is_peak(const std::string& name) const {
-  auto it = counter_is_peak_.find(name);
-  return it != counter_is_peak_.end() && it->second;
-}
-
 uint32_t Tracer::open_spans(uint32_t track) const {
   VCMP_CHECK(track < tracks_.size());
   return open_depth_[track];

@@ -10,8 +10,8 @@
 namespace vcmp {
 
 /// One key/value annotation on a trace event. Values are numeric only:
-/// every annotation the engines emit is a statistic, and an all-double
-/// payload keeps recording allocation-light and the export byte-stable.
+/// every annotation is a statistic, and an all-double payload keeps
+/// recording allocation-light and the export byte-stable.
 using TraceArg = std::pair<std::string, double>;
 
 /// One recorded event. Timestamps are SIMULATED seconds (engine round
@@ -43,10 +43,11 @@ struct TraceTrack {
 
 /// The deterministic trace recorder.
 ///
-/// Usage contract (kept cheap enough for engine hot paths):
-///  - Instrumented code holds a `Tracer*` that is null when tracing is
-///    off; every emission site guards on the pointer, so the disabled
-///    cost is one predictable branch and no call.
+/// Usage contract:
+///  - Runs are drawn after the fact from their reports
+///    (obs/run_trace.h). The serving loop, whose lifecycle events no
+///    report keeps, records while it runs through a `Tracer*` that is
+///    null when tracing is off.
 ///  - Spans nest per track: End() closes the innermost Begin() on that
 ///    track, and it is a checked error to End() with no span open.
 ///  - Timestamps must come from a simulated clock. The recorder does not
@@ -55,8 +56,8 @@ struct TraceTrack {
 /// Besides the event stream, the tracer keeps a flat counter map —
 /// Add() accumulates, Peak() keeps a running max — which the test suite
 /// reconciles exactly (bitwise, not approximately) against RunReport and
-/// ServiceReport aggregates. Instrumentation therefore mirrors the
-/// reports' own accumulation order: one Add() per batch, not per round.
+/// ServiceReport aggregates. Emitters therefore mirror the reports' own
+/// accumulation order.
 class Tracer {
  public:
   Tracer() = default;
@@ -79,8 +80,7 @@ class Tracer {
 
   /// Flat counters (no timestamp): Add accumulates a running sum, Peak a
   /// running max. Keys are exported sorted. Mixing Add and Peak on one
-  /// key is a checked error — the kind decides how MergeTraceInto folds
-  /// the counter across per-query tracers (sum vs max).
+  /// key is a checked error.
   void Add(const std::string& counter, double delta);
   void Peak(const std::string& counter, double value);
 
@@ -91,9 +91,6 @@ class Tracer {
   }
   /// Value of one flat counter (0.0 when never touched).
   double counter(const std::string& name) const;
-  /// True when `name` is a Peak (running-max) counter; false for Add
-  /// counters and names never touched.
-  bool counter_is_peak(const std::string& name) const;
 
   /// Open (begun, not yet ended) spans on `track`; 0 for a balanced
   /// trace. The invariant tests assert this is 0 on every track after a
@@ -105,7 +102,7 @@ class Tracer {
   std::vector<TraceTrack> tracks_;
   std::vector<uint32_t> open_depth_;  // Parallel to tracks_.
   std::map<std::string, double> counters_;
-  /// Keys ever passed to Peak(); all other counters fold by summing.
+  /// Whether each counter key is a Peak (true) or an Add (false) one.
   std::map<std::string, bool> counter_is_peak_;
 };
 

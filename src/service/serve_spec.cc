@@ -1,6 +1,7 @@
 #include "service/serve_spec.h"
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -70,6 +71,8 @@ Result<std::vector<TraceSegment>> ParseTrace(const std::string& trace) {
 
 Result<std::vector<ServeSpec>> ParseServeSpecs(
     const IniDocument& document) {
+  constexpr int64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
+  constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
   std::vector<ServeSpec> specs;
   for (const IniDocument::Section& section : document.sections()) {
     if (section.name.empty()) {
@@ -89,8 +92,9 @@ Result<std::vector<ServeSpec>> ParseServeSpecs(
     spec.task = IniDocument::GetString(section, "task", spec.task);
     spec.system = IniDocument::GetString(section, "system", spec.system);
     spec.cluster = IniDocument::GetString(section, "cluster", spec.cluster);
-    VCMP_ASSIGN_OR_RETURN(int64_t machines,
-                          IniDocument::GetInt(section, "machines", 0));
+    VCMP_ASSIGN_OR_RETURN(
+        int64_t machines,
+        IniDocument::GetIntInRange(section, "machines", 0, 0, kMaxUint32));
     spec.machines = static_cast<uint32_t>(machines);
     VCMP_ASSIGN_OR_RETURN(spec.scale,
                           IniDocument::GetDouble(section, "scale", 0.0));
@@ -99,20 +103,17 @@ Result<std::vector<ServeSpec>> ParseServeSpecs(
         IniDocument::GetInt(section, "seed",
                             static_cast<int64_t>(spec.seed)));
     spec.seed = static_cast<uint64_t>(seed);
-    VCMP_ASSIGN_OR_RETURN(int64_t threads,
-                          IniDocument::GetInt(section, "threads", 0));
+    VCMP_ASSIGN_OR_RETURN(
+        int64_t threads,
+        IniDocument::GetIntInRange(section, "threads", 0, 0, kMaxUint32));
     spec.threads = static_cast<uint32_t>(threads);
     VCMP_ASSIGN_OR_RETURN(spec.horizon_seconds,
                           IniDocument::GetDouble(section, "horizon",
                                                  spec.horizon_seconds));
     VCMP_ASSIGN_OR_RETURN(
         int64_t clients,
-        IniDocument::GetInt(section, "clients",
-                            static_cast<int64_t>(spec.clients)));
-    if (clients < 1) {
-      return Status::InvalidArgument("scenario '" + spec.name +
-                                     "': clients must be >= 1");
-    }
+        IniDocument::GetIntInRange(section, "clients", spec.clients, 1,
+                                   kMaxUint32));
     spec.clients = static_cast<uint32_t>(clients);
     VCMP_ASSIGN_OR_RETURN(spec.rate_per_second,
                           IniDocument::GetDouble(section, "rate",
@@ -123,14 +124,15 @@ Result<std::vector<ServeSpec>> ParseServeSpecs(
                                                  spec.units_per_query));
     VCMP_ASSIGN_OR_RETURN(
         int64_t total_capacity,
-        IniDocument::GetInt(section, "queue_capacity",
-                            static_cast<int64_t>(spec.total_capacity)));
+        IniDocument::GetIntInRange(
+            section, "queue_capacity",
+            static_cast<int64_t>(spec.total_capacity), 0, kMaxInt64));
     spec.total_capacity = static_cast<size_t>(total_capacity);
     VCMP_ASSIGN_OR_RETURN(
         int64_t per_client,
-        IniDocument::GetInt(
+        IniDocument::GetIntInRange(
             section, "per_client_capacity",
-            static_cast<int64_t>(spec.per_client_capacity)));
+            static_cast<int64_t>(spec.per_client_capacity), 0, kMaxInt64));
     spec.per_client_capacity = static_cast<size_t>(per_client);
     VCMP_ASSIGN_OR_RETURN(
         spec.job_overhead_seconds,

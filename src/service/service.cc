@@ -260,13 +260,6 @@ BatchExecutor MakeRunnerExecutor(const Dataset& dataset,
       options.seed = runner_options.seed + *batch_counter * 7919ULL;
       options.initial_residual_bytes.assign(
           options.cluster.num_machines, resident);
-      double final_residual = 0.0;
-      options.residual_observer =
-          [&](uint64_t, const std::vector<double>& residuals) {
-            for (double bytes : residuals) {
-              final_residual = std::max(final_residual, bytes);
-            }
-          };
       MultiProcessingRunner runner(dataset, options);
       VCMP_ASSIGN_OR_RETURN(
           RunReport run,
@@ -275,7 +268,10 @@ BatchExecutor MakeRunnerExecutor(const Dataset& dataset,
       exec.peak_memory_bytes =
           std::max(exec.peak_memory_bytes, run.peak_memory_bytes);
       exec.overloaded = exec.overloaded || run.overloaded;
-      resident = std::max(resident, final_residual);
+      if (!run.batches.empty()) {
+        resident =
+            std::max(resident, run.batches.back().carryover_residual_bytes);
+      }
     }
     exec.residual_bytes = std::max(0.0, resident - residual_bytes);
     return exec;

@@ -18,8 +18,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/batch_schedule.h"
 #include "core/runner.h"
+#include "obs/run_trace.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 #include "tasks/task_registry.h"
@@ -119,6 +121,8 @@ void ExpectReportEq(const RunReport& a, const RunReport& b,
   EXPECT_EQ(a.monetary_cost, b.monetary_cost) << where;
 }
 
+/// Runs the queries; with a tracer, traces the reports in query order
+/// as "q<i>".
 ConcurrentRunReport MustRun(const Dataset& dataset,
                             const std::vector<ConcurrentQuery>& queries,
                             uint32_t concurrency, uint32_t threads,
@@ -126,10 +130,15 @@ ConcurrentRunReport MustRun(const Dataset& dataset,
   ConcurrentRunnerOptions options;
   options.base = BaseOptions(threads);
   options.concurrency = concurrency;
-  options.tracer = tracer;
   ConcurrentRunner runner(dataset, options);
   auto report = runner.Run(queries);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (tracer != nullptr) {
+    for (size_t i = 0; i < report.value().queries.size(); ++i) {
+      TraceRunReport(*tracer, StrFormat("q%zu", i),
+                     report.value().queries[i].report);
+    }
+  }
   return std::move(report.value());
 }
 
@@ -304,14 +313,12 @@ TEST(ConcurrentEngineTest, RejectsMalformedConfigurations) {
   EXPECT_FALSE(ConcurrentRunner(dataset, ok_options).Run(with_null).ok());
 
   ConcurrentRunnerOptions preset = ok_options;
-  Tracer stray;
-  preset.base.tracer = &stray;  // Per-query field: must be unset.
+  preset.base.query_id = 3;  // Per-query field: must be unset.
   EXPECT_FALSE(ConcurrentRunner(dataset, preset).Run(mix.queries).ok());
 }
 
-// The merged trace is a pure function of the queries: private per-query
-// tracers replayed in query order make the recording identical at every
-// concurrency level.
+// The trace is a pure function of the queries: drawn from the reports in
+// query order, it is identical at every concurrency level.
 TEST(ConcurrentEngineTest, MergedTraceIsConcurrencyInvariant) {
   Dataset dataset = TinyDataset();
   QueryMix mix = MakeMix(707, 3);

@@ -55,6 +55,25 @@ TEST(IniTest, RejectsNonNumericTypedAccess) {
           .ok());
 }
 
+TEST(IniTest, GetIntRejectsWhatWouldTruncateOrOverflow) {
+  // A cast would read 2.7 as 2; 1e30, -1e30 and inf have no int64_t.
+  for (const std::string value : {"2.7", "1e30", "-1e30", "inf"}) {
+    SCOPED_TRACE(value);
+    auto document = IniDocument::Parse("[s]\nn = " + value + "\n");
+    ASSERT_TRUE(document.ok());
+    const auto result =
+        IniDocument::GetInt(document.value().sections()[0], "n", 0);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("'n'"), std::string::npos)
+        << result.status().ToString();
+  }
+  auto whole = IniDocument::Parse("[s]\nn = -4096\n");
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(IniDocument::GetInt(whole.value().sections()[0], "n", 0).value(),
+            -4096);
+}
+
 TEST(IniTest, LoadRejectsMissingFile) {
   EXPECT_FALSE(IniDocument::Load("/no/such/file.ini").ok());
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/experiment_spec.h"
+#include "obs/run_trace.h"
 #include "obs/tracer.h"
 #include "service/admission.h"
 #include "service/arrival.h"
@@ -67,18 +68,19 @@ TEST(TraceInvariantTest, RandomSpecsProduceWellFormedTraces) {
     spec.workload = 16.0 * (1 + rng() % 6);
     spec.schedule = "equal:" + std::to_string(1 + rng() % 4);
     spec.machines = 2 + rng() % 4;
-    Tracer tracer;
-    auto result = RunExperiment(spec, &tracer);
+    auto result = RunExperiment(spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    Tracer tracer;
+    TraceRunReport(tracer, spec.name, result.value().report);
     ASSERT_FALSE(tracer.events().empty());
     CheckTraceWellFormed(tracer);
   }
 }
 
 TEST(TraceInvariantTest, CountersReconcileWithRunReport) {
-  // The contract is bitwise equality, not approximate: instrumentation
-  // adds once per batch in the exact order RunReport::Absorb sums, so
-  // the trace counters ARE the report aggregates.
+  // The contract is bitwise equality, not approximate: the trace sums
+  // the batches in the exact order RunReport::Absorb does, so the trace
+  // counters ARE the report aggregates.
   std::mt19937 rng(987654321);
   for (int trial = 0; trial < 4; ++trial) {
     ExperimentSpec spec;
@@ -87,10 +89,11 @@ TEST(TraceInvariantTest, CountersReconcileWithRunReport) {
     spec.seed = rng();
     spec.workload = 16.0 * (1 + rng() % 5);
     spec.schedule = "equal:" + std::to_string(1 + rng() % 4);
-    Tracer tracer;
-    auto result = RunExperiment(spec, &tracer);
+    auto result = RunExperiment(spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const RunReport& report = result.value().report;
+    Tracer tracer;
+    TraceRunReport(tracer, spec.name, report);
     ASSERT_FALSE(report.overloaded);  // Overload clamps total_seconds.
 
     EXPECT_EQ(tracer.counter("engine.messages"), report.total_messages);

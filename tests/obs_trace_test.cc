@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "common/string_util.h"
+#include "core/concurrent_runner.h"
 #include "core/experiment_spec.h"
+#include "core/runner.h"
+#include "obs/run_trace.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
+#include "tasks/task_registry.h"
 
 namespace vcmp {
 namespace {
@@ -231,8 +239,9 @@ ExperimentSpec GoldenSpec(uint32_t threads) {
 
 std::string TraceForSpec(const ExperimentSpec& spec) {
   Tracer tracer;
-  auto result = RunExperiment(spec, &tracer);
+  auto result = RunExperiment(spec);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
+  TraceRunReport(tracer, spec.name, result.value().report);
   EXPECT_FALSE(tracer.events().empty());
   return TraceToJson(tracer);
 }
@@ -252,6 +261,145 @@ TEST(GoldenTraceTest, ThreadCountDoesNotChangeTheTrace) {
   std::string eight = TraceForSpec(GoldenSpec(8));
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
+}
+
+// ---------------------------------------------------------------- recorded
+// Whole exported traces pinned as 64-bit FNV-1a digests, one case per
+// feature the trace draws: spans, gauges and counters all feed the bytes.
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+void ExpectDigest(const std::string& trace, uint64_t expected) {
+  const uint64_t actual = Fnv1a64(trace);
+  EXPECT_EQ(actual, expected)
+      << StrFormat("digest 0x%016llx", static_cast<unsigned long long>(actual));
+}
+
+bool Contains(const std::string& text, const std::string& needle) {
+  return text.find(needle) != std::string::npos;
+}
+
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(RecordedTraceTest, GoldenSpec) {
+  ExpectDigest(TraceForSpec(GoldenSpec(2)), 0xffb2bfef8b8b95d6ULL);
+}
+
+TEST(RecordedTraceTest, GraphDSpillUnderBudget) {
+  ExperimentSpec spec = GoldenSpec(2);
+  spec.system = "GraphD";
+  spec.task = "MSSP";
+  spec.schedule = "equal:2";
+  spec.memory_budget = "96MiB";
+  const std::string trace = TraceForSpec(spec);
+  EXPECT_TRUE(Contains(trace, "\"name\":\"ooc_spill\""));
+  EXPECT_TRUE(Contains(trace, "\"name\":\"ooc_spilled_bytes\""));
+  EXPECT_TRUE(Contains(trace, "\"engine.ooc.spill_bytes_written\""));
+  ExpectDigest(trace, 0x08739fec01ec3e17ULL);
+}
+
+TEST(RecordedTraceTest, MirrorBppr) {
+  ExperimentSpec spec = GoldenSpec(2);
+  spec.system = "Pregel+(mirror)";
+  const std::string trace = TraceForSpec(spec);
+  EXPECT_TRUE(Contains(trace, "\"engine.mirrors\""));
+  ExpectDigest(trace, 0x200f219e0254c515ULL);
+}
+
+TEST(RecordedTraceTest, GraphLabPageRank) {
+  ExperimentSpec spec = GoldenSpec(2);
+  spec.system = "GraphLab";
+  spec.task = "PageRank";
+  spec.workload = 2;
+  spec.schedule = "equal:1";
+  ExpectDigest(TraceForSpec(spec), 0x0a340732367b0072ULL);
+}
+
+TEST(RecordedTraceTest, CheckpointedRun) {
+  // Specs cannot set a checkpoint interval; the runner can.
+  Dataset dataset = LoadDataset(DatasetId::kDblp, /*scale_override=*/512.0);
+  auto task = MakeTask("BPPR");
+  ASSERT_TRUE(task.ok());
+  RunnerOptions options;
+  options.seed = 11;
+  options.execution_threads = 2;
+  options.checkpoint_interval_rounds = 2;
+  MultiProcessingRunner runner(dataset, options);
+  auto report = runner.Run(*task.value(), BatchSchedule::Equal(48, 2));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  Tracer tracer;
+  TraceRunReport(tracer, "run", report.value());
+  const std::string trace = TraceToJson(tracer);
+  EXPECT_TRUE(Contains(trace, "\"name\":\"checkpoint\""));
+  ExpectDigest(trace, 0xcae5eacb23672e42ULL);
+}
+
+TEST(RecordedTraceTest, OverloadedRunHasNoCarryoverAfterItsLastBatch) {
+  ExperimentSpec spec = GoldenSpec(2);
+  spec.workload = 12288;
+  spec.schedule = "equal:2";
+  const std::string trace = TraceForSpec(spec);
+  // Batch 1 carries over into batch 2, which overloads and stops the run.
+  EXPECT_EQ(Occurrences(trace, "\"name\":\"batch\""), 2u);
+  EXPECT_EQ(Occurrences(trace, "\"name\":\"carryover_residual_bytes\""),
+            1u);
+  ExpectDigest(trace, 0x615da94be7ae6860ULL);
+}
+
+TEST(RecordedTraceTest, TwoBatchRunsOnlyBatchTwo) {
+  ExperimentSpec spec = GoldenSpec(2);
+  spec.schedule = "twobatch:-48";
+  const std::string trace = TraceForSpec(spec);
+  EXPECT_EQ(Occurrences(trace, "\"name\":\"batch\""), 1u);
+  EXPECT_TRUE(Contains(trace, "\"batch\":2"));
+  ExpectDigest(trace, 0xfd51761ae8e9a789ULL);
+}
+
+TEST(RecordedTraceTest, ConcurrentQueriesInQueryOrder) {
+  Dataset dataset = LoadDataset(DatasetId::kDblp, /*scale_override=*/512.0);
+  std::vector<std::unique_ptr<MultiTask>> tasks;
+  std::vector<ConcurrentQuery> queries;
+  const std::vector<std::pair<std::string, BatchSchedule>> mix = {
+      {"BPPR", BatchSchedule::Equal(64, 2)},
+      {"MSSP", BatchSchedule::Equal(64, 1)},
+      {"BKHS", BatchSchedule::Equal(96, 3)}};
+  for (const auto& [name, schedule] : mix) {
+    auto task = MakeTask(name);
+    ASSERT_TRUE(task.ok());
+    tasks.push_back(std::move(task.value()));
+    ConcurrentQuery query;
+    query.task = tasks.back().get();
+    query.schedule = schedule;
+    queries.push_back(std::move(query));
+  }
+  ConcurrentRunnerOptions options;
+  options.base.seed = 11;
+  options.base.execution_threads = 2;
+  options.concurrency = 2;
+  ConcurrentRunner runner(dataset, options);
+  auto report = runner.Run(queries);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().queries_failed, 0u);
+  Tracer tracer;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    TraceRunReport(tracer, StrFormat("q%zu", i),
+                   report.value().queries[i].report);
+  }
+  ExpectDigest(TraceToJson(tracer), 0x9e0544b89398c59fULL);
 }
 
 }  // namespace

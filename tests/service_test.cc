@@ -504,5 +504,22 @@ TEST(ServeSpecTest, ParsesTraceAndRejectsUnknownKeys) {
   EXPECT_FALSE(ParseServeSpecs(bad.value()).ok());
 }
 
+TEST(ServeSpecTest, RejectsCountsThatWouldWrap) {
+  // Parse only: a cast would read -1 as 4294967295 machines or threads
+  // and as 18446744073709551615 for either capacity.
+  for (const std::string key : {"machines", "threads", "clients",
+                                "queue_capacity", "per_client_capacity"}) {
+    SCOPED_TRACE(key);
+    auto document = IniDocument::Parse("[s]\n" + key + " = -1\n");
+    ASSERT_TRUE(document.ok());
+    const auto specs = ParseServeSpecs(document.value());
+    ASSERT_FALSE(specs.ok());
+    EXPECT_EQ(specs.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(specs.status().message().find(key + " must be in ["),
+              std::string::npos)
+        << specs.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace vcmp

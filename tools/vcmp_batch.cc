@@ -18,7 +18,7 @@
 #include "graph/datasets.h"
 #include "metrics/export.h"
 #include "metrics/table_printer.h"
-#include "obs/trace_merge.h"
+#include "obs/run_trace.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 #include "tasks/task_registry.h"
@@ -140,16 +140,7 @@ int Main(int argc, char** argv) {
   std::cout << "Running " << specs.value().size() << " experiments from "
             << flags.GetString("config") << "\n";
 
-  // One exported tracer across the suite: each experiment becomes its
-  // own process group (named by the spec) in the trace. Experiments
-  // record into PRIVATE tracers (the recorder is not thread-safe) that
-  // are replayed into the suite tracer in spec order after all runs
-  // finish — for K=1 that replay appends exactly what recording directly
-  // into the shared tracer used to append, so the exported bytes match
-  // the historical single-tracer path at every concurrency level.
-  const bool want_trace = !flags.GetString("trace-out").empty();
   const std::vector<ExperimentSpec>& suite = specs.value();
-  std::deque<Tracer> tracers(want_trace ? suite.size() : 0);
 
   struct ExperimentOutcome {
     Status status = Status::OK();
@@ -170,8 +161,7 @@ int Main(int argc, char** argv) {
     for (size_t i = slot; i < suite.size(); i += slots) {
       if (failed.load(std::memory_order_relaxed)) break;
       ExperimentOutcome& outcome = outcomes[i];
-      auto result = RunExperiment(suite[i],
-                                  want_trace ? &tracers[i] : nullptr);
+      auto result = RunExperiment(suite[i]);
       if (!result.ok()) {
         outcome.status = result.status();
         failed.store(true, std::memory_order_relaxed);
@@ -227,16 +217,21 @@ int Main(int argc, char** argv) {
     });
   }
   table.Print(std::cout);
-  if (want_trace) {
-    Tracer merged;
-    for (const Tracer& tracer : tracers) MergeTraceInto(merged, tracer);
-    Status written = WriteTraceJson(merged, flags.GetString("trace-out"));
+  if (!flags.GetString("trace-out").empty()) {
+    // One trace for the suite, one process group per experiment, drawn
+    // from the reports in spec order: the same bytes at every
+    // concurrency level.
+    Tracer tracer;
+    for (size_t i = 0; i < suite.size(); ++i) {
+      TraceRunReport(tracer, suite[i].name, outcomes[i].result.report);
+    }
+    Status written = WriteTraceJson(tracer, flags.GetString("trace-out"));
     if (!written.ok()) {
       std::cerr << written.ToString() << "\n";
       return 1;
     }
     std::cout << "wrote " << flags.GetString("trace-out") << " ("
-              << merged.events().size() << " trace events)\n";
+              << tracer.events().size() << " trace events)\n";
   }
   return 0;
 }

@@ -99,7 +99,7 @@ int Main(int argc, char** argv) {
   auto specs = ParseServeSpecs(document.value());
   if (!specs.ok()) {
     std::cerr << specs.status().ToString() << "\n";
-    return 1;
+    return 2;
   }
   std::cout << "Serving " << specs.value().size() << " scenarios from "
             << flags.GetString("config") << "\n";

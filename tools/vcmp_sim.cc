@@ -22,6 +22,7 @@
 #include "graph/datasets.h"
 #include "metrics/ascii_chart.h"
 #include "metrics/export.h"
+#include "obs/run_trace.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 #include "sim/monetary_model.h"
@@ -280,25 +281,8 @@ int Main(int argc, char** argv) {
         workload, static_cast<uint32_t>(flags.GetInt("batches")));
   }
 
-  // The tracer and the round capture attach only to the final run:
-  // --tune/--search probes above are exploration and stay untraced.
-  Tracer tracer;
-  if (!flags.GetString("trace-out").empty()) {
-    options.tracer = &tracer;
-    options.trace_label = "run";
-  }
-  // --csv writes the per-round statistics of the first executed batch of
-  // the reported run (the runner aggregates; the engine keeps the rounds).
-  std::vector<RoundStats> first_batch_rounds;
-  bool captured = false;
-  if (!flags.GetString("csv").empty()) {
-    options.engine_observer = [&](const EngineResult& result) {
-      if (captured) return;
-      first_batch_rounds = result.rounds;
-      captured = true;
-    };
-  }
-
+  // The trace and the CSV come from the final run's report alone:
+  // --tune/--search probes above are exploration and stay out of both.
   MultiProcessingRunner runner(dataset, options);
   auto report = runner.Run(*task.value(), schedule);
   if (!report.ok()) {
@@ -308,6 +292,8 @@ int Main(int argc, char** argv) {
   PrintReport(report.value(), schedule);
 
   if (!flags.GetString("trace-out").empty()) {
+    Tracer tracer;
+    TraceRunReport(tracer, "run", report.value());
     Status written = WriteTraceJson(tracer, flags.GetString("trace-out"));
     if (!written.ok()) {
       std::cerr << written.ToString() << "\n";
@@ -327,6 +313,10 @@ int Main(int argc, char** argv) {
     std::cout << "wrote " << flags.GetString("json") << "\n";
   }
   if (!flags.GetString("csv").empty()) {
+    // The per-round statistics of the first executed batch (--workload
+    // is positive, so one ran).
+    const std::vector<RoundStats>& first_batch_rounds =
+        report.value().batches.front().round_stats;
     Status written =
         WriteRoundStatsCsv(first_batch_rounds, flags.GetString("csv"));
     if (!written.ok()) {
