@@ -110,15 +110,29 @@ Result<int64_t> IniDocument::GetInt(const Section& section,
                                     int64_t fallback) {
   auto it = section.values.find(key);
   if (it == section.values.end()) return fallback;
+  // Integer text is read exactly: a double would round 2^53 + 1 down.
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long exact = std::strtoll(begin, &end, 10);
+  if (end != begin && *end == '\0') {
+    if (errno == ERANGE) {
+      return Status::InvalidArgument("key '" + key +
+                                     "' is outside the int64 range: '" +
+                                     it->second + "'");
+    }
+    return static_cast<int64_t>(exact);
+  }
+  // Other numeric text ("4.0", "1e3") only while it is a whole double in
+  // [-2^53, 2^53], where doubles still hold every whole number; anything
+  // else would truncate or round.
   VCMP_ASSIGN_OR_RETURN(double value, GetDouble(section, key, 0.0));
-  // Every whole double in [-2^63, 2^63) converts exactly; anything else
-  // would truncate or be undefined behaviour.
-  constexpr double kTwoPow63 = 9223372036854775808.0;
+  constexpr double kTwoPow53 = 9007199254740992.0;
   if (!std::isfinite(value) || value != std::trunc(value) ||
-      value < -kTwoPow63 || value >= kTwoPow63) {
+      std::fabs(value) > kTwoPow53) {
     return Status::InvalidArgument("key '" + key +
-                                   "' is not a whole number in the int64 "
-                                   "range: '" +
+                                   "' is not a whole number of magnitude "
+                                   "at most 2^53: '" +
                                    it->second + "'");
   }
   return static_cast<int64_t>(value);

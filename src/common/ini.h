@@ -39,8 +39,10 @@ class IniDocument {
   const Section* FindSection(const std::string& name) const;
 
   /// Typed access with defaults; the key's absence returns the fallback,
-  /// a malformed number is an error. GetInt also rejects a value that is
-  /// not finite, not whole or outside the int64_t range (never truncates).
+  /// a malformed number is an error. GetInt reads integer text exactly
+  /// (outside int64_t is an error) and accepts other numeric text ("4.0",
+  /// "1e3") only as a whole double of magnitude at most 2^53, so it never
+  /// truncates or rounds.
   static Result<double> GetDouble(const Section& section,
                                   const std::string& key, double fallback);
   static Result<int64_t> GetInt(const Section& section,

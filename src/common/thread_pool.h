@@ -7,35 +7,38 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace vcmp {
 
-/// Persistent fixed-size worker pool with two barrier loops.
+/// Persistent fixed-size worker pool with one barrier loop, ParallelFor.
 ///
 /// SyncEngine reuses one pool for every superstep of a run, replacing the
 /// per-round std::thread spawn/join that dominated the orchestration cost
 /// of short rounds. Workers are started once in the constructor and
-/// parked on a condition variable between rounds; each ParallelFor /
-/// ParallelForStealable call is a barrier: it returns only after every
-/// index it was given has run, so it ends a round's parallel section.
+/// parked on a condition variable between rounds; each ParallelFor call
+/// is a barrier: it returns only after every index it was given has run,
+/// so it ends a round's parallel section.
 ///
-/// One pool may be shared by several driver threads (one per in-flight
-/// query in concurrent multi-query execution): both loops track the
-/// completion of *their own* shards with a per-call latch, so concurrent
-/// calls return independently instead of coupling at a pool-wide
-/// barrier.
-///
-/// With zero workers both loops run every index inline on the calling
-/// thread, so serial and parallel executions share one code path.
+/// A loop posts offers to the pool's queue; whoever picks one up (a
+/// worker, or a thread inside Lend) joins the caller in claiming the
+/// loop's next unclaimed index. The caller never waits on an offer no
+/// thread has started — it claims whatever is left itself — so one pool
+/// may be shared by several driver threads (one per in-flight query):
+/// their loops finish independently and share whichever threads are
+/// idle. With no worker and no lender every index runs inline on the
+/// calling thread, so serial and parallel executions share one code
+/// path.
 class ThreadPool {
  public:
   /// Starts `num_workers` threads (0 = inline execution).
   explicit ThreadPool(uint32_t num_workers);
 
-  /// Runs every queued task, then joins the workers.
+  /// Joins the workers once they drained the queue; any offer still
+  /// queued is stale (its loop returned) and runs nothing.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -45,27 +48,27 @@ class ThreadPool {
     return static_cast<uint32_t>(workers_.size());
   }
 
-  /// Invokes `fn(i)` for every i in [0, count), statically sharded
-  /// round-robin across the workers plus the calling thread (shard s takes
-  /// indices s, s + S, s + 2S, ...). Returns after all indices ran; the
-  /// caller participates, so the pool is never idle-waited from outside.
-  /// Completion is tracked per call, so concurrent ParallelFor calls from
-  /// different driver threads finish independently. `fn` must not throw
-  /// and must not call back into the same pool (no nested parallelism).
+  /// Invokes `fn(i)` for every i in [0, count) and returns after all of
+  /// them ran. The caller and up to `count - 1` helpers (one offer per
+  /// worker and per lender) claim indices from one shared counter, so a
+  /// skewed index cost never idles a thread while work is left. Which
+  /// thread runs an index depends on timing, so `fn` must write only to
+  /// state keyed by the index (per-shard slots/arenas); any cross-index
+  /// reduction must happen after the call, in fixed index order. Loops
+  /// called concurrently from different threads finish independently.
+  /// `fn` must not throw and must not call back into the same pool (no
+  /// nested parallelism).
   void ParallelFor(uint32_t count, const std::function<void(uint32_t)>& fn);
 
-  /// Work-stealing variant of ParallelFor for skewed index costs.
-  ///
-  /// Ownership stays static — index i belongs to participant i mod P — but
-  /// a participant that drains its own indices claims leftovers from
-  /// victims in the fixed scan order (p + 1) mod P, (p + 2) mod P, ...
-  /// Victim selection and steal order are pure functions of participant
-  /// and index numbers, never of timing. Which thread *executes* an index
-  /// still depends on the schedule, so `fn` must write only to state keyed
-  /// by the index (per-shard slots/arenas); any cross-index reduction must
-  /// happen after the barrier, in fixed index order.
-  void ParallelForStealable(uint32_t count,
-                            const std::function<void(uint32_t)>& fn);
+  /// Lends the calling thread to the pool until `done()` holds: it picks
+  /// up offers like a worker and counts as one more participant for
+  /// loops started meanwhile. `done` is evaluated with the pool's lock
+  /// held; whoever makes it true must call WakeLenders() afterwards. The
+  /// pool must outlive every lender.
+  void Lend(const std::function<bool()>& done);
+
+  /// Wakes every lender to re-check its `done` condition.
+  void WakeLenders();
 
   /// Hardware concurrency with a floor of 1 (the standard allows 0).
   static uint32_t HardwareThreads() {
@@ -84,13 +87,17 @@ class ThreadPool {
   }
 
  private:
-  /// Enqueues one shard of a loop; only called with workers present.
-  void Submit(std::function<void()> task);
+  struct Loop;
+
+  /// Pops the front offer and, with `lock` released, claims indices of
+  /// its loop until none is left. Requires a non-empty queue.
+  void ServeFront(std::unique_lock<std::mutex>& lock);
   void WorkerLoop();
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;  // Signals workers: task or stop.
-  std::deque<std::function<void()>> queue_;
+  std::condition_variable work_cv_;  // Signals workers and lenders.
+  std::deque<std::shared_ptr<Loop>> offers_;
+  std::atomic<uint32_t> lenders_{0};  // Written under mutex_.
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

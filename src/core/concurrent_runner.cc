@@ -1,6 +1,7 @@
 #include "core/concurrent_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -15,8 +16,8 @@ namespace vcmp {
 namespace {
 
 /// Per-query spill budget: an even split of the configured budget across
-/// the K slots, raised to the infeasible floor so a generous total never
-/// turns into K infeasible shares. Results are budget-invariant
+/// the K queries in flight, raised to the infeasible floor so a generous
+/// total never turns into K infeasible shares. Results are budget-invariant
 /// (DESIGN.md section 13), so the split only shifts WHERE bytes spill,
 /// never what any query computes — which is what keeps per-query results
 /// identical at every concurrency level.
@@ -71,9 +72,9 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
   // Thread budget: the K driver threads each execute their query's
   // serial sections and act as the calling participant of its parallel
   // sections, so they count toward the configured thread total; the
-  // shared pool supplies the rest. ParallelFor's per-call completion
-  // latches keep the queries' fan-outs independent on the shared
-  // workers.
+  // shared pool supplies the rest. A ParallelFor waits only for its own
+  // claimed indices, so the queries' fan-outs stay independent on the
+  // shared workers.
   const uint32_t total_threads = ThreadPool::ResolveThreads(
       options_.base.execution_threads, /*clamp_to_hardware=*/false);
   const uint32_t pool_workers =
@@ -105,12 +106,18 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
   report.queries.resize(queries.size());
 
   const uint64_t start_ns = wallclock::NowNs();
-  // Static round-robin interleaving: driver slot s executes queries
-  // s, s+K, s+2K, ... in index order. Which queries are in flight
-  // together is a pure function of (index, K); no slot ever races
-  // another for a query, so the outcome vector needs no locking.
-  const auto drive_slot = [&](uint32_t slot) {
-    for (size_t i = slot; i < queries.size(); i += concurrency) {
+  // One shared query counter: a free driver takes the next query index,
+  // so no driver idles while another still has a backlog. A driver that
+  // finds no query left lends its thread to the pool until the last
+  // query finished (a failed one counts), so the tail queries' rounds
+  // spread over every thread. Each index is claimed by exactly one
+  // driver, so the outcome vector needs no locking.
+  std::atomic<size_t> next_query{0};
+  std::atomic<size_t> finished{0};
+  const auto drive = [&] {
+    for (size_t i = next_query.fetch_add(1, std::memory_order_relaxed);
+         i < queries.size();
+         i = next_query.fetch_add(1, std::memory_order_relaxed)) {
       const ConcurrentQuery& query = queries[i];
       RunnerOptions opts = options_.base;
       opts.query_id = i;
@@ -134,19 +141,22 @@ Result<ConcurrentRunReport> ConcurrentRunner::Run(
       } else {
         report.queries[i].status = outcome.status();
       }
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          queries.size()) {
+        pool.WakeLenders();
+      }
     }
+    pool.Lend([&] {
+      return finished.load(std::memory_order_acquire) == queries.size();
+    });
   };
 
   if (concurrency == 1) {
-    drive_slot(0);  // Serial: no reason to spawn a driver thread.
+    drive();  // Serial: no reason to spawn a driver thread.
   } else {
-    std::vector<std::thread> drivers;
-    const uint32_t slots = static_cast<uint32_t>(
+    std::vector<std::thread> drivers(
         std::min<size_t>(concurrency, queries.size()));
-    drivers.reserve(slots);
-    for (uint32_t s = 0; s < slots; ++s) {
-      drivers.emplace_back(drive_slot, s);
-    }
+    for (std::thread& driver : drivers) driver = std::thread(drive);
     for (std::thread& driver : drivers) driver.join();
   }
   report.wall_seconds = wallclock::SecondsSince(start_ns);

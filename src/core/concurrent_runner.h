@@ -32,15 +32,17 @@ struct ConcurrentRunnerOptions {
   /// at once).
   RunnerOptions base;
 
-  /// Queries in flight at once (K). Query i is pinned to driver slot
-  /// i mod K — a static round-robin interleaving, so which queries share
-  /// the machine is a function of (i, K) and never of timing. 1 executes
-  /// the queries back to back (the historical serial behavior).
+  /// Queries in flight at once (K): K driver threads take query indices
+  /// from one shared counter, and a driver that finds none left lends
+  /// its thread to the shared pool until the last query finished. Which
+  /// queries overlap therefore depends on timing; what each computes
+  /// does not. 1 executes the queries back to back (the historical
+  /// serial behavior).
   uint32_t concurrency = 1;
 };
 
 /// Per-query outcome: a failed query (bad spec, infeasible budget) does
-/// not poison its neighbors — each slot carries its own status.
+/// not poison its neighbors — each query carries its own status.
 struct QueryOutcome {
   Status status = Status::OK();
   /// Valid only when status.ok().
@@ -67,8 +69,9 @@ struct ConcurrentRunReport {
 ///
 /// All queries run against one graph, one partition (computed once in the
 /// constructor — it depends only on graph/profile/cluster) and one
-/// ThreadPool; everything a query mutates lives in its own
-/// MultiProcessingRunner, QueryContext arenas and spill directory.
+/// ThreadPool, which idle drivers lend their threads to; everything a
+/// query mutates lives in its own MultiProcessingRunner, QueryContext
+/// arenas and spill directory.
 /// Per-query results are bit-identical to running the same query alone:
 /// each is a pure function of (task, schedule, base seed, query id), and
 /// the query id namespaces every seed derivation (DESIGN.md section 14).

@@ -38,9 +38,11 @@ struct QueryContext {
 
   /// Pool SyncEngine fans compute shards out on. Null keeps the
   /// historical behavior (each Run creates a private pool from its thread
-  /// options); non-null shares the pool across queries — its per-call
-  /// completion tracking keeps concurrent fan-outs independent. GasEngine
-  /// runs serially and ignores it.
+  /// options); non-null shares the pool across queries — a loop never
+  /// waits on a helper that has not started, so concurrent fan-outs
+  /// finish independently, and drivers lending their threads join
+  /// whichever query's loop is queued. GasEngine runs serially and
+  /// ignores it.
   ThreadPool* pool = nullptr;
 
   /// Reusable engine-owned buffers (workers, shard sinks). The concrete

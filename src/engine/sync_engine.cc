@@ -430,8 +430,9 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   // private one: its threads are created once per Run and parked between
   // parallel sections, instead of spawning and joining a thread set
   // every round. A context WITH a pool (concurrent queries) fans out on
-  // the shared workers; per-call completion latches keep the queries'
-  // parallel sections independent. Intra-machine sharding means more
+  // the shared workers and on any driver lending its thread; each loop
+  // waits only for its own claimed indices, so the queries' parallel
+  // sections stay independent. Intra-machine sharding means more
   // threads than machines still helps; the engine runs exactly the count
   // it is given (the runner clamps to the hardware).
   std::unique_ptr<ThreadPool> owned_pool;
@@ -536,8 +537,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     // contiguous vertex range into its own arenas/logs, one ComputeRun per
     // (vertex, tag) run with its values (or its one folded value) handed
     // over as a contiguous column; a vertex's log record and random
-    // stream open at its first run. Work stealing only changes which
-    // thread runs a shard, never what the shard writes.
+    // stream open at its first run. Which thread claims a shard never
+    // changes what the shard writes.
     auto run_shard = [&](uint32_t task) {
       const uint32_t machine = task / kShardsPerMachine;
       const uint32_t shard = task % kShardsPerMachine;
@@ -568,7 +569,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             MessageRunView{run.tag, values + run.begin, run.size()}, sink);
       }
     };
-    pool.ParallelForStealable(num_shard_tasks, run_shard);
+    pool.ParallelFor(num_shard_tasks, run_shard);
 
     // --- Phase C: cross-traffic tally ---
     // One task per (sender, destination) pair walks the sender's shard
@@ -623,7 +624,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       }
       if (collect_times) slot.merge_ns = wallclock::NowNs() - t0;
     };
-    pool.ParallelForStealable(machines * machines, tally_pair);
+    pool.ParallelFor(machines * machines, tally_pair);
 
     // --- Phase D: fold per-vertex logs in vertex order ---
     // Shard s holds a contiguous vertex range, so concatenating the

@@ -1,5 +1,8 @@
 #include "service/serve_spec.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -24,6 +27,52 @@ const std::set<std::string>& KnownKeys() {
       "policy",   "max_wait", "drain_delay", "overload_fraction",
       "safety",   "train_target", "job_overhead"};
   return keys;
+}
+
+/// Strict number: all of `text` (surrounding blanks aside) must parse,
+/// to a finite value.
+bool ParseFinite(const std::string& text, double* value) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtod(begin, &end);
+  if (end == begin || errno != 0 || !std::isfinite(*value)) return false;
+  while (std::isspace(static_cast<unsigned char>(*end))) ++end;
+  return *end == '\0';
+}
+
+/// Reads `key` as a finite number that is > 0 (`positive`) or >= 0; the
+/// error names the scenario and the key.
+Result<double> GetBoundedReal(const IniDocument::Section& section,
+                              const std::string& key, double fallback,
+                              bool positive) {
+  auto it = section.values.find(key);
+  if (it == section.values.end()) return fallback;
+  double value = 0.0;
+  if (!ParseFinite(it->second, &value) || value < 0.0 ||
+      (positive && value == 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "scenario '%s': %s must be a finite number %s, got '%s'",
+        section.name.c_str(), key.c_str(), positive ? "> 0" : ">= 0",
+        it->second.c_str()));
+  }
+  return value;
+}
+
+/// The batching policy: 0 for "dynamic", the batch size for
+/// "fixed:UNITS" (UNITS a finite number > 0).
+Result<double> FixedPolicyUnits(const std::string& scenario,
+                                const std::string& policy) {
+  if (policy == "dynamic") return 0.0;
+  std::vector<std::string> parts = SplitString(policy, ":");
+  double units = 0.0;
+  if (parts.size() == 2 && parts[0] == "fixed" &&
+      ParseFinite(parts[1], &units) && units > 0.0) {
+    return units;
+  }
+  return Status::InvalidArgument(
+      "scenario '" + scenario + "': policy must be dynamic or fixed:UNITS "
+      "with UNITS > 0, got '" + policy + "'");
 }
 
 Result<ClusterSpec> ResolveCluster(const ServeSpec& spec) {
@@ -55,11 +104,15 @@ Result<std::vector<TraceSegment>> ParseTrace(const std::string& trace) {
           "' (expected DURATIONxRATE, e.g. '30x12')");
     }
     TraceSegment segment;
-    segment.duration_seconds = std::atof(pair[0].c_str());
-    segment.rate_per_second = std::atof(pair[1].c_str());
-    if (segment.duration_seconds <= 0.0) {
+    if (!ParseFinite(pair[0], &segment.duration_seconds) ||
+        segment.duration_seconds <= 0.0) {
       return Status::InvalidArgument("trace segment '" + part +
-                                     "' has a non-positive duration");
+                                     "' needs a finite duration > 0");
+    }
+    if (!ParseFinite(pair[1], &segment.rate_per_second) ||
+        segment.rate_per_second < 0.0) {
+      return Status::InvalidArgument("trace segment '" + part +
+                                     "' needs a finite rate >= 0");
     }
     segments.push_back(segment);
   }
@@ -107,21 +160,32 @@ Result<std::vector<ServeSpec>> ParseServeSpecs(
         int64_t threads,
         IniDocument::GetIntInRange(section, "threads", 0, 0, kMaxUint32));
     spec.threads = static_cast<uint32_t>(threads);
-    VCMP_ASSIGN_OR_RETURN(spec.horizon_seconds,
-                          IniDocument::GetDouble(section, "horizon",
-                                                 spec.horizon_seconds));
+    VCMP_ASSIGN_OR_RETURN(
+        spec.horizon_seconds,
+        GetBoundedReal(section, "horizon", spec.horizon_seconds,
+                       /*positive=*/true));
     VCMP_ASSIGN_OR_RETURN(
         int64_t clients,
         IniDocument::GetIntInRange(section, "clients", spec.clients, 1,
                                    kMaxUint32));
     spec.clients = static_cast<uint32_t>(clients);
-    VCMP_ASSIGN_OR_RETURN(spec.rate_per_second,
-                          IniDocument::GetDouble(section, "rate",
-                                                 spec.rate_per_second));
+    VCMP_ASSIGN_OR_RETURN(
+        spec.rate_per_second,
+        GetBoundedReal(section, "rate", spec.rate_per_second,
+                       /*positive=*/false));
     spec.trace = IniDocument::GetString(section, "trace", spec.trace);
-    VCMP_ASSIGN_OR_RETURN(spec.units_per_query,
-                          IniDocument::GetDouble(section, "units",
-                                                 spec.units_per_query));
+    if (!spec.trace.empty()) {
+      auto trace = ParseTrace(spec.trace);
+      if (!trace.ok()) {
+        return Status::InvalidArgument("scenario '" + section.name +
+                                       "': trace: " +
+                                       trace.status().message());
+      }
+    }
+    VCMP_ASSIGN_OR_RETURN(
+        spec.units_per_query,
+        GetBoundedReal(section, "units", spec.units_per_query,
+                       /*positive=*/true));
     VCMP_ASSIGN_OR_RETURN(
         int64_t total_capacity,
         IniDocument::GetIntInRange(
@@ -139,6 +203,7 @@ Result<std::vector<ServeSpec>> ParseServeSpecs(
         IniDocument::GetDouble(section, "job_overhead",
                                spec.job_overhead_seconds));
     spec.policy = IniDocument::GetString(section, "policy", spec.policy);
+    VCMP_RETURN_IF_ERROR(FixedPolicyUnits(spec.name, spec.policy).status());
     VCMP_ASSIGN_OR_RETURN(spec.max_wait_seconds,
                           IniDocument::GetDouble(section, "max_wait",
                                                  spec.max_wait_seconds));
@@ -166,6 +231,12 @@ Result<std::vector<ServeSpec>> ParseServeSpecs(
 
 Result<ServiceReport> RunServeScenario(const ServeSpec& spec,
                                        Tracer* tracer) {
+  VCMP_ASSIGN_OR_RETURN(double fixed_units,
+                        FixedPolicyUnits(spec.name, spec.policy));
+  std::vector<TraceSegment> trace;
+  if (!spec.trace.empty()) {
+    VCMP_ASSIGN_OR_RETURN(trace, ParseTrace(spec.trace));
+  }
   VCMP_ASSIGN_OR_RETURN(DatasetInfo info, FindDataset(spec.dataset));
   Dataset dataset = LoadDataset(info.id, spec.scale);
   VCMP_ASSIGN_OR_RETURN(ClusterSpec cluster, ResolveCluster(spec));
@@ -196,9 +267,7 @@ Result<ServiceReport> RunServeScenario(const ServeSpec& spec,
     clients[i].task = spec.task;
     clients[i].units_per_query = spec.units_per_query;
     clients[i].rate_per_second = spec.rate_per_second;
-    if (!spec.trace.empty()) {
-      VCMP_ASSIGN_OR_RETURN(clients[i].trace, ParseTrace(spec.trace));
-    }
+    clients[i].trace = trace;
   }
   ArrivalOptions arrival_options;
   arrival_options.seed = spec.seed;
@@ -210,7 +279,7 @@ Result<ServiceReport> RunServeScenario(const ServeSpec& spec,
   admission.total_capacity = spec.total_capacity;
 
   std::unique_ptr<BatchPolicy> policy;
-  if (spec.policy == "dynamic") {
+  if (fixed_units == 0.0) {
     // Section 5's training phase, run against the serving deployment.
     Trainer trainer(dataset, runner_options);
     VCMP_ASSIGN_OR_RETURN(
@@ -224,15 +293,8 @@ Result<ServiceReport> RunServeScenario(const ServeSpec& spec,
     options.max_wait_seconds = spec.max_wait_seconds;
     policy = std::make_unique<DynamicBatcher>(models, options);
   } else {
-    std::vector<std::string> parts = SplitString(spec.policy, ":");
-    if (parts.size() == 2 && parts[0] == "fixed") {
-      policy = std::make_unique<FixedBatcher>(std::atof(parts[1].c_str()),
-                                              spec.max_wait_seconds);
-    } else {
-      return Status::InvalidArgument(
-          "scenario '" + spec.name + "': unknown policy '" + spec.policy +
-          "' (dynamic | fixed:UNITS)");
-    }
+    policy =
+        std::make_unique<FixedBatcher>(fixed_units, spec.max_wait_seconds);
   }
 
   ServiceOptions service_options;

@@ -56,10 +56,13 @@ struct ServeSpec {
 };
 
 /// Parses every section of an INI document into a ServeSpec (section name
-/// = scenario name). Unknown keys are an error.
+/// = scenario name). Unknown keys are an error, and so is a value outside
+/// its domain (horizon and units > 0, rates >= 0, fixed:UNITS > 0): the
+/// InvalidArgument names the scenario and the key.
 Result<std::vector<ServeSpec>> ParseServeSpecs(const IniDocument& document);
 
-/// Parses "40x1,20x12,60x1" into trace segments.
+/// Parses "40x1,20x12,60x1" into trace segments: each DURATION a finite
+/// number > 0, each RATE a finite number >= 0.
 Result<std::vector<struct TraceSegment>> ParseTrace(
     const std::string& trace);
 

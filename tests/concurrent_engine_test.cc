@@ -197,6 +197,53 @@ TEST(ConcurrentEngineTest, ConcurrentQueriesMatchStandaloneRuns) {
   }
 }
 
+// Work conservation: with the longest query first, the other drivers
+// drain the five short ones and then lend their threads to it. Lending
+// moves threads, never bits: each report equals its query run alone.
+TEST(ConcurrentEngineTest, LongQueryFirstMatchesStandaloneRuns) {
+  Dataset dataset = TinyDataset();
+  std::vector<std::unique_ptr<MultiTask>> tasks;
+  std::vector<ConcurrentQuery> queries;
+  const auto add_query = [&](const std::string& name, double workload,
+                             uint32_t batches) {
+    auto task = MakeTask(name);
+    ASSERT_TRUE(task.ok());
+    tasks.push_back(std::move(task.value()));
+    ConcurrentQuery query;
+    query.task = tasks.back().get();
+    query.schedule = BatchSchedule::Equal(workload, batches);
+    queries.push_back(std::move(query));
+  };
+  add_query("MSSP", 256, 4);
+  for (const char* name : {"BKHS", "BPPR", "MSSP", "BKHS", "BPPR"}) {
+    add_query(name, 64, 1);
+  }
+  std::vector<RunReport> alone;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    RunnerOptions standalone = BaseOptions(1);
+    standalone.query_id = q;
+    MultiProcessingRunner runner(dataset, standalone);
+    auto report = runner.Run(*queries[q].task, queries[q].schedule);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    alone.push_back(std::move(report.value()));
+  }
+  for (uint32_t concurrency : {2u, 3u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      const std::string combo = "K=" + std::to_string(concurrency) +
+                                " T=" + std::to_string(threads);
+      ConcurrentRunReport run =
+          MustRun(dataset, queries, concurrency, threads);
+      ASSERT_EQ(run.queries.size(), queries.size()) << combo;
+      EXPECT_EQ(run.queries_failed, 0u) << combo;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_TRUE(run.queries[q].status.ok()) << combo;
+        ExpectReportEq(run.queries[q].report, alone[q],
+                       combo + " query " + std::to_string(q));
+      }
+    }
+  }
+}
+
 // The query id namespaces every random stream: two queries with the same
 // task, schedule and base seed draw decorrelated walks, while query 0
 // reproduces the historical single-query run exactly.

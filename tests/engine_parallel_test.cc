@@ -39,13 +39,13 @@ namespace {
 using testing_util::RelaxedCluster;
 
 TEST(ThreadPoolTest, ZeroWorkersExecutesInline) {
-  // No worker could take a queued shard, so both loops must run every
-  // index on the calling thread before they return.
+  // No worker or lender could pick up an offer, so each loop must run
+  // every index on the calling thread before it returns.
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0u);
   std::vector<int> hits(5, 0);  // Not atomic: inline runs on the caller.
   pool.ParallelFor(5, [&hits](uint32_t i) { ++hits[i]; });
-  pool.ParallelForStealable(5, [&hits](uint32_t i) { ++hits[i]; });
+  pool.ParallelFor(5, [&hits](uint32_t i) { ++hits[i]; });
   EXPECT_EQ(hits, std::vector<int>(5, 2));
 }
 

@@ -1,13 +1,15 @@
-// Tests of the vertex-sharded compute phase: the work-stealing parallel
-// loop, the thread-resolution policy, and the regression at the heart of
-// the shard design — over the fixed 16 shards per machine, results are
+// Tests of the vertex-sharded compute phase: the pool's claim loop and
+// lending, the thread-resolution policy, and the regression at the heart
+// of the shard design — over the fixed 16 shards per machine, results are
 // bit-identical across thread counts, even when one machine owns almost
-// all of the inbox (the skew that motivates stealing in the first place).
+// all of the inbox (the skew that motivates dynamic claiming).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,36 +25,35 @@ namespace {
 
 using testing_util::RelaxedCluster;
 
-// --- ParallelForStealable --------------------------------------------
+// --- ParallelFor: one claim loop -------------------------------------
 
 TEST(ParallelForStealableTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelForStealable(1000,
-                            [&hits](uint32_t i) { hits[i].fetch_add(1); });
+  pool.ParallelFor(1000, [&hits](uint32_t i) { hits[i].fetch_add(1); });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(ParallelForStealableTest, ZeroWorkersExecutesInline) {
   ThreadPool pool(0);
   std::vector<int> hits(64, 0);  // Not atomic: single participant.
-  pool.ParallelForStealable(64, [&hits](uint32_t i) { ++hits[i]; });
+  pool.ParallelFor(64, [&hits](uint32_t i) { ++hits[i]; });
   for (int hit : hits) EXPECT_EQ(hit, 1);
 }
 
 TEST(ParallelForStealableTest, MoreParticipantsThanIndices) {
   ThreadPool pool(7);
   std::vector<std::atomic<int>> hits(3);
-  pool.ParallelForStealable(3, [&hits](uint32_t i) { hits[i].fetch_add(1); });
+  pool.ParallelFor(3, [&hits](uint32_t i) { hits[i].fetch_add(1); });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(ParallelForStealableTest, SkewedIndexCostsStillCoverEverything) {
-  // One pathologically heavy index: the owners of the light indices drain
-  // their own work and steal the rest; every index must still run once.
+  // One pathologically heavy index: the other participants keep claiming
+  // the light indices meanwhile; every index must still run once.
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(256);
-  pool.ParallelForStealable(256, [&hits](uint32_t i) {
+  pool.ParallelFor(256, [&hits](uint32_t i) {
     if (i == 0) {
       // vcmp:lint-allow(C2, local busy-loop sink defeating the optimizer, not synchronization)
       volatile double sink = 0.0;
@@ -67,9 +68,90 @@ TEST(ParallelForStealableTest, ReusableAcrossManyBarriers) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   for (int round = 0; round < 200; ++round) {
-    pool.ParallelForStealable(7, [&total](uint32_t) { total.fetch_add(1); });
+    pool.ParallelFor(7, [&total](uint32_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 200 * 7);
+}
+
+// A loop never waits on an offer no thread has started: with the only
+// worker held inside another thread's loop, a loop from this thread
+// runs every index itself and returns. Waiting for the worker to pick up
+// the offer would wait for the release below, i.e. forever.
+TEST(ClaimLoopTest, CallerNeverWaitsOnAnUnstartedOffer) {
+  ThreadPool pool(1);
+  std::promise<void> hold;
+  std::promise<void> release;
+  const std::shared_future<void> held = hold.get_future().share();
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> worker_claimed{false};
+  std::thread other([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    // The caller's index waits until the worker holds the other one, so
+    // the worker is sure to claim an index before the caller runs out.
+    // Once released, the worker may also claim the index the caller had
+    // not reached yet; that one returns at once.
+    pool.ParallelFor(2, [&](uint32_t) {
+      if (std::this_thread::get_id() == caller) {
+        held.wait();
+      } else if (!worker_claimed.exchange(true)) {
+        hold.set_value();
+        released.wait();
+      }
+    });
+  });
+  held.wait();
+  const std::thread::id self = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(100);
+  std::atomic<int> on_self{0};
+  pool.ParallelFor(100, [&](uint32_t i) {
+    hits[i].fetch_add(1);
+    if (std::this_thread::get_id() == self) on_self.fetch_add(1);
+  });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  EXPECT_EQ(on_self.load(), 100);
+  release.set_value();
+  other.join();
+}
+
+// A lender joins loops started after it lent — here on a pool with no
+// worker at all — and returns once woken with its condition true.
+TEST(ClaimLoopTest, LenderRunsPartOfALoopStartedAfterItLent) {
+  ThreadPool pool(0);
+  std::atomic<bool> done{false};
+  std::promise<void> lending;
+  std::future<void> lent = lending.get_future();
+  std::thread lender([&] {
+    bool announced = false;  // Only the lender evaluates the condition.
+    pool.Lend([&] {
+      if (!announced) {
+        announced = true;
+        lending.set_value();
+      }
+      return done.load();
+    });
+  });
+  lent.wait();
+  const std::thread::id self = std::this_thread::get_id();
+  std::promise<void> lender_ran;
+  const std::shared_future<void> lender_has_run =
+      lender_ran.get_future().share();
+  std::atomic<bool> announced_run{false};
+  std::vector<std::atomic<int>> hits(2);
+  std::atomic<int> on_lender{0};
+  pool.ParallelFor(2, [&](uint32_t i) {
+    hits[i].fetch_add(1);
+    if (std::this_thread::get_id() == self) {
+      lender_has_run.wait();  // So the lender must claim an index.
+    } else {
+      on_lender.fetch_add(1);
+      if (!announced_run.exchange(true)) lender_ran.set_value();
+    }
+  });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  EXPECT_GE(on_lender.load(), 1);
+  done.store(true);
+  pool.WakeLenders();
+  lender.join();
 }
 
 // --- Thread resolution policy ----------------------------------------
@@ -101,7 +183,7 @@ constexpr VertexId kSkewHubs = 64;  // All on machine 0.
 // machine 0 then receives the overwhelming majority of each round's
 // messages while the other seven machines stay nearly idle. This is the
 // skew that makes a static shard-per-thread split pathological and is
-// exactly the case work stealing exists for.
+// exactly the case dynamic claiming exists for.
 Graph BuildSkewedGraph() {
   GraphBuilder builder(kSkewVertices);
   Rng rng(97);
@@ -205,8 +287,8 @@ void ExpectBitIdentical(const EngineResult& a, const EngineResult& b) {
 }
 
 TEST(ShardDeterminismTest, SkewedInboxIdenticalAcrossThreadsShardsStealing) {
-  // Every thread count in {2, 4, 8}, stealing over the fixed 16 shards per
-  // machine, must reproduce the single-thread run bit for bit — for the
+  // Every thread count in {2, 4, 8}, claiming the fixed 16 shards per
+  // machine dynamically, must reproduce the single-thread run bit for bit — for the
   // plain profile and for GraphLab, whose wire count comes from the
   // per-(sender, destination) key tally.
   for (SystemKind system : {SystemKind::kPregelPlus, SystemKind::kGraphLab}) {

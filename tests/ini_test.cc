@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/experiment_spec.h"
 
 namespace vcmp {
@@ -72,6 +78,38 @@ TEST(IniTest, GetIntRejectsWhatWouldTruncateOrOverflow) {
   ASSERT_TRUE(whole.ok());
   EXPECT_EQ(IniDocument::GetInt(whole.value().sections()[0], "n", 0).value(),
             -4096);
+}
+
+TEST(IniTest, GetIntReadsIntegerTextExactly) {
+  // Through a double, 2^53 + 1 would read as 2^53 and INT64_MAX as 2^63.
+  for (const auto& [text, expected] :
+       std::vector<std::pair<std::string, int64_t>>{
+           {"9007199254740993", int64_t{9007199254740993}},
+           {"9223372036854775807", std::numeric_limits<int64_t>::max()},
+           {"-9223372036854775808", std::numeric_limits<int64_t>::min()},
+           {"4.0", 4},
+           {"1e3", 1000}}) {
+    SCOPED_TRACE(text);
+    auto document = IniDocument::Parse("[s]\nn = " + text + "\n");
+    ASSERT_TRUE(document.ok());
+    const auto result =
+        IniDocument::GetInt(document.value().sections()[0], "n", 0);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value(), expected);
+  }
+  // One past INT64_MAX, and a double above 2^53 that integer text cannot
+  // name exactly.
+  for (const std::string value : {"9223372036854775808", "1e17"}) {
+    SCOPED_TRACE(value);
+    auto document = IniDocument::Parse("[s]\nn = " + value + "\n");
+    ASSERT_TRUE(document.ok());
+    const auto result =
+        IniDocument::GetInt(document.value().sections()[0], "n", 0);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("'n'"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(IniTest, LoadRejectsMissingFile) {

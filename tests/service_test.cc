@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -519,6 +521,46 @@ TEST(ServeSpecTest, RejectsCountsThatWouldWrap) {
               std::string::npos)
         << specs.status().ToString();
   }
+}
+
+TEST(ServeSpecTest, RejectsOutOfDomainValuesBeforeRunning) {
+  // Parse only: each value used to pass, a negative count or rate
+  // silently, `40xabc` as a rate of 0, and `fixed:abc` only after the
+  // dataset had been generated.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"units = -4", "units"},
+      {"units = 0", "units"},
+      {"rate = -2", "rate"},
+      {"rate = nan", "rate"},
+      {"horizon = -5", "horizon"},
+      {"horizon = 0", "horizon"},
+      {"horizon = inf", "horizon"},
+      {"trace = 40xabc", "trace"},
+      {"trace = 40x-1", "trace"},
+      {"trace = 40x1,20x", "trace"},
+      {"trace = abcx1", "trace"},
+      {"policy = fixed:abc", "policy"},
+      {"policy = fixed:0", "policy"},
+      {"policy = fixed:-512", "policy"},
+      {"policy = greedy", "policy"}};
+  for (const auto& [line, key] : cases) {
+    SCOPED_TRACE(line);
+    auto document = IniDocument::Parse("[burst]\n" + line + "\n");
+    ASSERT_TRUE(document.ok());
+    const auto specs = ParseServeSpecs(document.value());
+    ASSERT_FALSE(specs.ok());
+    EXPECT_EQ(specs.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(specs.status().message().find("scenario 'burst': " + key),
+              std::string::npos)
+        << specs.status().ToString();
+  }
+  // The boundary values stay valid: no arrivals, and a trace pause.
+  auto edge = IniDocument::Parse(
+      "[edge]\nrate = 0\ntrace = 40x0,20x12\npolicy = fixed:0.5\n");
+  ASSERT_TRUE(edge.ok());
+  const auto specs = ParseServeSpecs(edge.value());
+  ASSERT_TRUE(specs.ok()) << specs.status().ToString();
+  EXPECT_EQ(specs.value()[0].rate_per_second, 0.0);
 }
 
 }  // namespace

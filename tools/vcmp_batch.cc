@@ -73,8 +73,8 @@ int Main(int argc, char** argv) {
   flags.Define("concurrency", "1",
                "experiments in flight at once (1..1024). Every output — "
                "table, JSON reports, --trace-out bytes — is identical at "
-               "every concurrency level; experiments record into private "
-               "tracers merged in suite order");
+               "every concurrency level; the trace is drawn from the "
+               "reports in suite order");
   flags.Define("list-tasks", "false",
                "print the registered task names and exit");
   flags.Define("list-datasets", "false",
@@ -148,18 +148,19 @@ int Main(int argc, char** argv) {
     Status json_status = Status::OK();
   };
   std::deque<ExperimentOutcome> outcomes(suite.size());
-  // First failure (in any slot) stops every slot from STARTING further
-  // experiments — the sequential loop's fail-fast, generalized. In-flight
-  // neighbors still finish; their outputs are simply not reported.
+  // Drivers take experiment indices from one shared counter, like
+  // ConcurrentRunner's queries: each index is claimed by exactly one
+  // driver, so the outcome slots need no locking. The first failure (in
+  // any driver) stops every driver from STARTING another experiment —
+  // the sequential loop's fail-fast, generalized. In-flight neighbors
+  // still finish; their outputs are simply not reported.
   std::atomic<bool> failed{false};
-  const uint32_t slots = static_cast<uint32_t>(std::min<size_t>(
-      concurrency.value(), suite.size()));
+  std::atomic<size_t> next{0};
   const std::string json_dir = flags.GetString("json-dir");
-  // Static round-robin: slot s owns experiments s, s+K, ... — disjoint
-  // outcome slots, no locking, and identical assignment on every run.
-  const auto drive_slot = [&](uint32_t slot) {
-    for (size_t i = slot; i < suite.size(); i += slots) {
-      if (failed.load(std::memory_order_relaxed)) break;
+  const auto drive = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= suite.size()) break;
       ExperimentOutcome& outcome = outcomes[i];
       auto result = RunExperiment(suite[i]);
       if (!result.ok()) {
@@ -169,7 +170,7 @@ int Main(int argc, char** argv) {
       }
       outcome.result = std::move(result.value());
       if (!json_dir.empty()) {
-        // Distinct files per experiment; safe from concurrent slots.
+        // Distinct files per experiment; safe from concurrent drivers.
         outcome.json_status = WriteRunReportJson(
             outcome.result.report, json_dir + "/" + suite[i].name + ".json");
         if (!outcome.json_status.ok()) {
@@ -179,12 +180,13 @@ int Main(int argc, char** argv) {
       }
     }
   };
-  if (slots <= 1) {
-    drive_slot(0);
+  const size_t driver_count =
+      std::min<size_t>(concurrency.value(), suite.size());
+  if (driver_count <= 1) {
+    drive();
   } else {
-    std::vector<std::thread> drivers;
-    drivers.reserve(slots);
-    for (uint32_t s = 0; s < slots; ++s) drivers.emplace_back(drive_slot, s);
+    std::vector<std::thread> drivers(driver_count);
+    for (std::thread& driver : drivers) driver = std::thread(drive);
     for (std::thread& driver : drivers) driver.join();
   }
   for (size_t i = 0; i < suite.size(); ++i) {
